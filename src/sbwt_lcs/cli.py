@@ -28,7 +28,8 @@ from .index import (
 from .lcs_basic import decode_spectrum, lcs_basic
 from .lcs_linear import lcs_linear, lcs_linear_endpoints
 from .lcs_superalphabet import lcs_super
-from .oracle import SortedSpectrum, extended_spectrum, naive_lcs
+from .oracle import extended_spectrum, naive_lcs
+from .packed import pack_pieces, subset_rows
 from .queries import SuffixInterval, left_contract, lookup
 from .stats import BuildStats
 
@@ -43,6 +44,8 @@ LCS_MAGIC = b"LCSARR01"
 _LCS_HEADER = struct.Struct("<8sQB")
 
 ALGORITHMS = ("basic", "super", "linear", "linear-endpoints")
+# powers of two whose 5**c still packs into uint64 (lcs_superalphabet)
+SUPER_WIDTHS = (2, 4, 8, 16)
 
 _RC = str.maketrans("ACGT", "TGCA")
 _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")
@@ -148,7 +151,7 @@ def cmd_build(args) -> int:
     if not any(len(p) >= args.k for p in pieces):
         print(f"error: no {args.k}-mers extracted from {args.input}", file=sys.stderr)
         return EXIT_IO
-    index = build_index(extended_spectrum(pieces, args.k))
+    index = SbwtIndex(args.k, subset_rows(pack_pieces(pieces, args.k)))
     try:
         save_index(index, args.output)
     except OSError as exc:
@@ -177,8 +180,12 @@ def cmd_lcs(args) -> int:
     return EXIT_OK
 
 
-def _verify_one(spectrum: SortedSpectrum, label: str) -> int:
+def _verify_one(pieces: list[str], k: int, label: str) -> int:
+    spectrum = extended_spectrum(pieces, k)
     index = build_index(spectrum)
+    if SbwtIndex(k, subset_rows(pack_pieces(pieces, k))) != index:
+        print(f"mismatch in {label}: the index built from packed keys differs", file=sys.stderr)
+        return EXIT_VERIFY
     arrays = [
         ("naive", naive_lcs(spectrum)),
         ("basic", lcs_basic(index)),
@@ -202,6 +209,9 @@ def _verify_one(spectrum: SortedSpectrum, label: str) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.k is not None and not 1 <= args.k <= MAX_K:
+        print(f"error: k must be in 1..{MAX_K}", file=sys.stderr)
+        return EXIT_USAGE
     if args.random:
         rng = Random(args.seed)
         for trial in range(args.trials):
@@ -210,7 +220,7 @@ def cmd_verify(args) -> int:
                 "".join(rng.choice("ACGT") for _ in range(rng.randint(1, args.length)))
                 for _ in range(args.count)
             ]
-            code = _verify_one(extended_spectrum(strings, k), f"trial {trial} (k={k})")
+            code = _verify_one(strings, k, f"trial {trial} (k={k})")
             if code != EXIT_OK:
                 return code
         print(f"verified {args.trials} random trials")
@@ -218,16 +228,13 @@ def cmd_verify(args) -> int:
     if not args.input or not args.k:
         print("error: verify needs an input file and -k, or --random", file=sys.stderr)
         return EXIT_USAGE
-    if not 1 <= args.k <= MAX_K:
-        print(f"error: k must be in 1..{MAX_K}", file=sys.stderr)
-        return EXIT_USAGE
     try:
         records = read_fasta(args.input)
     except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     pieces = clean_pieces([seq for _, seq in records], False)
-    code = _verify_one(extended_spectrum(pieces, args.k), args.input)
+    code = _verify_one(pieces, args.k, args.input)
     if code == EXIT_OK:
         print("verified")
     return code
@@ -326,6 +333,17 @@ def cmd_bench(args) -> int:
 # argument parsing
 
 
+def positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this artifact reserves 2 for I/O."""
 
@@ -351,16 +369,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("index")
     p.add_argument("-o", "--output", required=True, help="LCS output path")
     p.add_argument("-a", "--algorithm", choices=ALGORITHMS, default="linear")
-    p.add_argument("--super-width", type=int, default=2)
+    p.add_argument("--super-width", type=int, choices=SUPER_WIDTHS, default=2)
     p.set_defaults(func=cmd_lcs)
 
     p = sub.add_parser("verify", help="cross-check all construction paths")
     p.add_argument("input", nargs="?", help="FASTA file (omit with --random)")
     p.add_argument("-k", type=int, help="k-mer size; random per trial if omitted")
     p.add_argument("--random", action="store_true", help="synthetic random mode")
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--count", type=int, default=3, help="strings per random trial")
-    p.add_argument("--length", type=int, default=80, help="max random string length")
+    p.add_argument("--trials", type=positive_int, default=100)
+    p.add_argument("--count", type=positive_int, default=3, help="strings per random trial")
+    p.add_argument("--length", type=positive_int, default=80, help="max random string length")
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_verify)
 
@@ -386,8 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--algorithms", default=",".join(ALGORITHMS), help="comma-separated list"
     )
-    p.add_argument("-r", "--repeats", type=int, default=3)
-    p.add_argument("--super-width", type=int, default=2)
+    p.add_argument("-r", "--repeats", type=positive_int, default=3)
+    p.add_argument("--super-width", type=int, choices=SUPER_WIDTHS, default=2)
     p.set_defaults(func=cmd_bench)
     return parser
 

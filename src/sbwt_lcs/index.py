@@ -19,6 +19,7 @@ import numpy as np
 
 from .alphabet import BASES, BASE_CODES
 from .oracle import SortedSpectrum
+from .packed import pack_kmers, subset_rows
 
 MAGIC = b"SBWTLCS1"
 _HEADER = struct.Struct("<8sQQ")
@@ -180,36 +181,7 @@ def build_index(s: SortedSpectrum) -> SbwtIndex:
     Fails if the spectrum is not prefix-closed (some k-mer would have no
     predecessor), since the LF mapping is then not a bijection.
     """
-    kmers = s.kmers
-    n = len(kmers)
-    members = set(kmers)
-    rows = np.zeros((4, n), dtype=bool)
-    enders = [0] * 5
-    prev_suffix = None
-    for i, x in enumerate(kmers):
-        last = x[-1]
-        if last != "$" and last not in BASE_CODES:
-            raise ValueError(f"invalid symbol {last!r} in k-mer {x!r}")
-        enders[0 if last == "$" else BASE_CODES[last]] += 1
-        suffix = x[1:]
-        if suffix != prev_suffix:
-            for ci, ch in enumerate(BASES):
-                if suffix + ch in members:
-                    rows[ci, i] = True
-        prev_suffix = suffix
-
-    if enders[0] != 1:
-        raise ValueError("spectrum must contain exactly one $-terminated k-mer")
-    index = SbwtIndex(s.k, rows)
-    # closure: each base's LF block must exactly hold that base's enders
-    boundary = 1
-    for ci, ch in enumerate(BASES):
-        if index.counts[ch] != boundary:
-            raise ValueError(f"spectrum is not prefix-closed at base {ch}")
-        boundary += enders[ci + 1]
-    if boundary != n:
-        raise ValueError("spectrum is not prefix-closed")
-    return index
+    return SbwtIndex(s.k, subset_rows(pack_kmers(s.kmers, s.k)))
 
 
 def char_rank(index: SbwtIndex, base: str, i: int) -> int:

@@ -1,0 +1,310 @@
+"""Extended k-spectrum and subset matrix built from packed 2-bit keys.
+
+A row is a k-mer, or a $-padded prefix of one: its symbols as 2-bit codes
+(A=0 .. T=3) packed into 64-bit words with the last symbol most
+significant, plus the length of its unpadded body. Word 0 holds the last
+32 symbols, word 1 the 32 before them, and so on; arrays are word-major,
+so words[w] is one word of every row and k <= 32 needs a single word.
+Integer order of (words, body length) is colexicographic order over $ACGT,
+because a $ packs like A but belongs to a shorter body, which sorts first
+on ties.
+
+pack_pieces builds the spectrum from cleaned input pieces without going
+through strings per k-mer; pack_kmers packs an existing string spectrum.
+subset_rows fills the 4 x n subset matrix of either by sorted search.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from typing import Sequence
+
+import numpy as np
+
+from .alphabet import BASES, SYMBOLS
+
+_ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
+_TOP = np.uint64(62)
+
+# byte -> alphabet code ($=0, A=1 .. T=4); 255 marks every other byte
+_CODES = np.full(256, 255, dtype=np.uint8)
+_CODES[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = np.arange(5, dtype=np.uint8)
+
+# entries per step of subset_rows, and symbols per step of pack_kmers:
+# they bound the working buffers of both
+_CHUNK = 1 << 16
+_CHUNK_SYMBOLS = 1 << 20
+
+
+@dataclass(frozen=True)
+class PackedSpectrum:
+    """An extended k-spectrum as packed rows in strictly increasing colex order."""
+
+    k: int
+    words: np.ndarray  # (nwords, n) uint64
+    lens: np.ndarray  # (n,) int32 body lengths; only the all-$ root, first, has 0
+
+    @property
+    def n(self) -> int:
+        return len(self.lens)
+
+
+def _nwords(k: int) -> int:
+    return (k + 31) // 32
+
+
+def _top_mask(symbols):
+    """Word mask keeping the top `symbols` (0..32) codes; scalar or array."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    shift = np.minimum(64 - 2 * symbols, 63).astype(np.uint64)
+    return np.where(symbols > 0, _ALL << shift, np.uint64(0))
+
+
+def _windows(codes: np.ndarray, span: int) -> np.ndarray:
+    """win[q]: at least `span` (<= 32) symbols ending at q, symbol q on top.
+
+    Built by doubling; symbols before position 0 read as A, and symbols of
+    a neighbouring piece may follow the wanted ones, so callers mask.
+    """
+    win = codes.astype(np.uint64) << _TOP
+    have = 1
+    while have < span:
+        win[have:] |= win[:-have] >> np.uint64(2 * have)
+        have *= 2
+    return win
+
+
+def _rows(win: np.ndarray, ends: np.ndarray, lens, nw: int) -> np.ndarray:
+    """Packed rows of the bodies of the given lengths ending at `ends`."""
+    out = np.empty((nw, len(ends)), dtype=np.uint64)
+    for w in range(nw):
+        out[w] = win[np.maximum(ends - 32 * w, 0)] & _top_mask(np.clip(lens - 32 * w, 0, 32))
+    return out
+
+
+def _pack32(sym: np.ndarray) -> np.ndarray:
+    """One word per row of at most 32 codes (0..3), the last code on top."""
+    pad = np.zeros((len(sym), 32), dtype=np.uint8)
+    pad[:, 32 - sym.shape[1] :] = sym
+    four = pad[:, 0::4] | pad[:, 1::4] << 2 | pad[:, 2::4] << 4 | pad[:, 3::4] << 6
+    return np.ascontiguousarray(four).view("<u8")[:, 0]
+
+
+def _run_starts(words: np.ndarray, lens: np.ndarray | None = None) -> np.ndarray:
+    """Mask of the rows of sorted arrays that differ from their predecessor."""
+    keep = np.ones(words.shape[1], dtype=bool)
+    keep[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
+    if lens is not None:
+        keep[1:] |= lens[1:] != lens[:-1]
+    return keep
+
+
+def _order(words: np.ndarray, lens: np.ndarray | None = None) -> np.ndarray:
+    """Indices of one row of each distinct value, in colex order.
+
+    An unstable sort on word 0 orders most rows at once; only the runs of
+    rows sharing word 0 go through np.lexsort of the other words and the
+    lengths, keyed first by run.
+    """
+    order = np.argsort(words[0])
+    first = words[0, order]
+    tie = first[1:] == first[:-1]
+    if (len(words) > 1 or lens is not None) and tie.any():
+        in_run = np.zeros(len(order), dtype=bool)
+        in_run[1:] = tie
+        in_run[:-1] |= tie
+        at = np.flatnonzero(in_run)
+        run = np.cumsum(np.concatenate(([True], ~tie))[at])
+        sub = order[at]
+        keys = tuple(words[:0:-1, sub]) + (run,)
+        order[at] = sub[np.lexsort(keys if lens is None else (lens[sub], *keys))]
+    return order[_run_starts(words[:, order], None if lens is None else lens[order])]
+
+
+def _search(keys, key_lens, queries, query_lens) -> np.ndarray:
+    """Leftmost insertion point of each query row among sorted key rows.
+
+    Rows compare by words, word 0 first, then by body length if lengths
+    are given. Two np.searchsorted calls on word 0 narrow each query to the
+    run of keys sharing that word; bisection settles the rest of the
+    comparison inside those runs, which are short.
+    """
+    lo = np.searchsorted(keys[0], queries[0], side="left")
+    if len(keys) == 1 and key_lens is None:
+        return lo
+    hi = np.searchsorted(keys[0], queries[0], side="right")
+    todo = np.flatnonzero(lo < hi)
+    while len(todo):
+        mid = (lo[todo] + hi[todo]) >> 1
+        if key_lens is None:
+            less = np.zeros(len(todo), dtype=bool)
+        else:
+            less = key_lens[mid] < query_lens[todo]
+        for w in range(len(keys) - 1, 0, -1):
+            a, b = keys[w][mid], queries[w][todo]
+            less = np.where(a == b, less, a < b)
+        lo[todo] = np.where(less, mid + 1, lo[todo])
+        hi[todo] = np.where(less, hi[todo], mid)
+        todo = todo[lo[todo] < hi[todo]]
+    return lo
+
+
+def _drop_first(words: np.ndarray, k: int) -> list[np.ndarray]:
+    """(k-1)-suffixes of k-symbol rows: the first symbol is the lowest code.
+
+    Only the last word changes, so the others are shared, not copied.
+    """
+    return [*words[:-1], words[-1] & _top_mask(k - 1 - 32 * (len(words) - 1))]
+
+
+def _equal_at(keys, at: np.ndarray, queries) -> np.ndarray:
+    """Whether key row at[j] equals query row j, for every j."""
+    return np.logical_and.reduce([key[at] == q for key, q in zip(keys, queries)])
+
+
+def _drop_last(words: np.ndarray) -> np.ndarray:
+    """Rows without their last symbol: every code moves one place up."""
+    out = words << np.uint64(2)
+    out[:-1] |= words[1:] >> _TOP
+    return out
+
+
+def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
+    """Extended k-spectrum of ACGT pieces, as oracle.extended_spectrum defines it.
+
+    Only the first k-mer of a piece can be a source: every later one has
+    its predecessor in the same piece.
+    """
+    if k < 1:
+        raise ValueError("k must be >= 1")
+    nw = _nwords(k)
+    text = "".join(pieces)
+    sym = _CODES[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)] - np.uint8(1)
+    bad = np.flatnonzero(sym > 3)
+    if len(bad):
+        raise ValueError(
+            f"invalid symbol {text[bad[0]]!r} in input string: expected one of ACGT"
+        )
+    del text
+    lengths = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
+    starts = np.cumsum(lengths) - lengths
+    win = _windows(sym, min(k, 32))
+    del sym
+    offset = np.arange(len(win), dtype=np.int64) - np.repeat(starts, lengths)
+    ends = np.flatnonzero(offset >= k - 1)  # the last position of every k-mer
+    del offset
+    if nw == 1:  # np.sort is much faster than np.unique or a stable sort
+        kmers = np.sort(win[ends] & _top_mask(k))[np.newaxis]
+        kmers = kmers[:, _run_starts(kmers)]
+    else:
+        kmers = _rows(win, ends, k, nw)
+        kmers = kmers[:, _order(kmers)]
+    del ends
+
+    heads = starts[lengths >= k] + k - 1  # end of the first k-mer of each piece
+    suffixes = _drop_first(kmers, k)
+    prefixes = _rows(win, heads - 1, k - 1, nw)
+    at = np.minimum(_search(suffixes, None, prefixes, None), kmers.shape[1] - 1)
+    has_pred = _equal_at(suffixes, at, prefixes)
+    del suffixes, prefixes
+    sources = heads[~has_pred]
+    sources = sources[_order(_rows(win, sources, k, nw))]
+
+    # the root, and $^(k-i) x[:i] for i = 1..k-1 of each distinct source x
+    body = np.tile(np.arange(1, k, dtype=np.int32), len(sources))
+    pad_ends = np.repeat(sources - (k - 1), k - 1) + body - 1
+    padded = np.concatenate((np.zeros((nw, 1), np.uint64), _rows(win, pad_ends, body, nw)), axis=1)
+    body = np.concatenate((np.zeros(1, np.int32), body))
+    keep = _order(padded, body)
+    padded, body = padded[:, keep], body[keep]
+    # a padded row goes before the k-mer it ties with: its body is shorter
+    at = _search(kmers, None, padded, None)
+    words = np.insert(kmers, at, padded, axis=1)
+    lens = np.insert(np.full(kmers.shape[1], k, dtype=np.int32), at, body)
+    return PackedSpectrum(k, words, lens)
+
+
+def pack_kmers(kmers: Sequence[str], k: int) -> PackedSpectrum:
+    """Pack a string spectrum, checking that packing keeps its meaning.
+
+    Raises ValueError for a symbol outside $ACGT, a $ that is not part of
+    a left pad, more or fewer than one $-terminated k-mer, a k-mer of the
+    wrong length, or an order that is not strictly colexicographic.
+    """
+    n, nw = len(kmers), _nwords(k)
+    words = np.empty((nw, n), dtype=np.uint64)
+    lens = np.empty(n, dtype=np.int32)
+    enders = 0
+    step = max(1, _CHUNK_SYMBOLS // k)
+    for start in range(0, n, step):
+        chunk = kmers[start : start + step]
+        stop = start + len(chunk)
+        sizes = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
+        bad = np.flatnonzero(sizes != k)
+        if len(bad):
+            x = chunk[bad[0]]
+            raise ValueError(f"k-mer {x!r} has length {len(x)}, expected {k}")
+        raw = "".join(chunk).encode("ascii", "replace")
+        codes = _CODES[np.frombuffer(raw, dtype=np.uint8)].reshape(len(chunk), k)
+        bad = np.flatnonzero(codes[:, -1] == 255)
+        if len(bad):
+            x = chunk[bad[0]]
+            raise ValueError(f"invalid symbol {x[-1]!r} in k-mer {x!r}")
+        enders += int(np.count_nonzero(codes[:, -1] == 0))
+        if enders > 1:
+            break
+        if codes.max() == 255:
+            row, col = np.nonzero(codes == 255)
+            x = chunk[row[0]]
+            raise ValueError(f"invalid symbol {x[col[0]]!r} in k-mer {x!r}")
+        dollar = codes == 0
+        pad = np.count_nonzero(dollar, axis=1)
+        # every $ leads, unless the row is all $
+        bad = np.flatnonzero((pad != np.argmin(dollar, axis=1)) & (pad != k))
+        if len(bad):
+            raise ValueError(f"$ must be a contiguous left pad: {chunk[bad[0]]!r}")
+        lens[start:stop] = k - pad
+        sym = np.maximum(codes, 1) - 1  # $ packs like A
+        for w in range(nw):
+            hi = k - 32 * w  # word w holds the symbols before index hi
+            words[w, start:stop] = _pack32(sym[:, max(0, hi - 32) : hi])
+    if enders != 1:
+        raise ValueError("spectrum must contain exactly one $-terminated k-mer")
+    less = lens[:-1] < lens[1:]
+    for w in range(nw - 1, -1, -1):
+        a, b = words[w, :-1], words[w, 1:]
+        less = np.where(a == b, less, a < b)
+    if not less.all():
+        i = int(np.argmin(less))
+        raise ValueError(f"not strictly colex-sorted at {kmers[i]!r} >= {kmers[i + 1]!r}")
+    return PackedSpectrum(k, words, lens)
+
+
+def subset_rows(ps: PackedSpectrum) -> np.ndarray:
+    """The 4 x n subset matrix of a packed spectrum, rows in A,C,G,T order.
+
+    Entry j sets the bit of its last symbol at the first column whose
+    (k-1)-suffix equals its (k-1)-prefix. The suffixes of colex-sorted rows
+    are themselves sorted, so that column is found by search, one chunk of
+    entries at a time. Raises ValueError unless the root comes first and
+    alone, and every later row has such a column (the spectrum is
+    prefix-closed).
+    """
+    k, words, lens, n = ps.k, ps.words, ps.lens, ps.n
+    if lens[0] != 0 or not lens[1:].all():
+        raise ValueError("spectrum must contain exactly one $-terminated k-mer")
+    suffixes = _drop_first(words, k)
+    suffix_lens = np.minimum(lens, k - 1)
+    rows = np.zeros((4, n), dtype=bool)
+    for start in range(1, n, _CHUNK):
+        part = words[:, start : start + _CHUNK]
+        prefixes = _drop_last(part)
+        prefix_lens = lens[start : start + _CHUNK] - 1
+        at = np.minimum(_search(suffixes, suffix_lens, prefixes, prefix_lens), n - 1)
+        found = (suffix_lens[at] == prefix_lens) & _equal_at(suffixes, at, prefixes)
+        last = (part[0] >> _TOP).astype(np.intp)
+        if not found.all():
+            c = int(last[np.argmin(found)])
+            raise ValueError(f"spectrum is not prefix-closed at base {BASES[c]}")
+        rows[last, at] = True
+    return rows

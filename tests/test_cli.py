@@ -26,6 +26,16 @@ def worked_files(worked_fasta, tmp_path):
     return index, lcs
 
 
+def assert_usage_error(argv, capsys):
+    """argv ends in exit code 1 with a usage message, not a traceback."""
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 1
+    stderr = capsys.readouterr().err
+    assert "usage:" in stderr and "Traceback" not in stderr
+
+
 class TestBuild:
     def test_worked_example(self, worked_fasta, tmp_path, capsys):
         out = str(tmp_path / "i.sbwt")
@@ -113,6 +123,11 @@ class TestLcsCommand:
         with pytest.raises(SystemExit) as err:
             main(["lcs", index, "-a", "magic", "-o", str(tmp_path / "x")])
         assert err.value.code == 1
+
+    def test_bad_super_width_exits_1(self, worked_files, tmp_path, capsys):
+        index, _ = worked_files
+        argv = ["lcs", index, "-a", "super", "-o", str(tmp_path / "x"), "--super-width", "3"]
+        assert_usage_error(argv, capsys)
 
     def test_bad_index_exits_2(self, tmp_path):
         bad = tmp_path / "bad.sbwt"
@@ -223,6 +238,16 @@ class TestVerify:
         assert main(["verify", "--random", "--trials", "20", "--seed", "42"]) == 0
         assert "20 random trials" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag", ["--trials", "--count", "--length"])
+    @pytest.mark.parametrize("value", ["0", "-3"])
+    def test_non_positive_random_settings_exit_1(self, flag, value, capsys):
+        assert_usage_error(["verify", "--random", flag, value], capsys)
+
+    @pytest.mark.parametrize("k", ["0", "-1", "5000"])
+    def test_random_mode_bad_k_exits_1(self, k, capsys):
+        assert main(["verify", "--random", "-k", k, "--trials", "1"]) == 1
+        assert "Traceback" not in capsys.readouterr().err
+
     def test_corrupted_path_exits_3(self, worked_fasta, monkeypatch, capsys):
         def corrupted(index, c=2, stats=None):
             values = cli.lcs_basic(index)
@@ -250,6 +275,15 @@ class TestBench:
     def test_unknown_algorithm_exits_1(self, worked_files):
         index, _ = worked_files
         assert main(["bench", index, "--algorithms", "basic,nope"]) == 1
+
+    @pytest.mark.parametrize("value", ["0", "-1", "two"])
+    def test_non_positive_repeats_exit_1(self, worked_files, value, capsys):
+        index, _ = worked_files
+        assert_usage_error(["bench", index, "-r", value], capsys)
+
+    def test_bad_super_width_exits_1(self, worked_files, capsys):
+        index, _ = worked_files
+        assert_usage_error(["bench", index, "--super-width", "3"], capsys)
 
 
 class TestIndexFileCompat:
