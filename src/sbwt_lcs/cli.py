@@ -44,6 +44,9 @@ LCS_MAGIC = b"LCSARR01"
 _LCS_HEADER = struct.Struct("<8sQB")
 
 ALGORITHMS = ("basic", "super", "linear", "linear-endpoints")
+# `lcs -a auto` runs basic up to this k and linear-endpoints above it; the
+# crossover comes from the sweep in README.md ("Choosing the algorithm")
+AUTO_BASIC_MAX_K = 63
 # powers of two whose 5**c still packs into uint64 (lcs_superalphabet)
 SUPER_WIDTHS = (2, 4, 8, 16)
 
@@ -167,8 +170,11 @@ def cmd_lcs(args) -> int:
     except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    algorithm = args.algorithm
+    if algorithm == "auto":
+        algorithm = "basic" if index.k <= AUTO_BASIC_MAX_K else "linear-endpoints"
     start = time.perf_counter()
-    values = _construct(index, args.algorithm, args.super_width)
+    values = _construct(index, algorithm, args.super_width)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     peak_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     try:
@@ -176,7 +182,7 @@ def cmd_lcs(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    print(f"algo={args.algorithm} ms={elapsed_ms:.3f} bytes={peak_bytes}")
+    print(f"algo={algorithm} ms={elapsed_ms:.3f} bytes={peak_bytes}")
     return EXIT_OK
 
 
@@ -240,18 +246,31 @@ def cmd_verify(args) -> int:
     return code
 
 
+def check_lcs_pair(index: SbwtIndex, values: np.ndarray, index_path: str, lcs_path: str) -> None:
+    """Raise FormatError if the LCS array cannot belong to the index.
+
+    Catches a file built for another index of different n, or of equal n
+    and larger k; one built for an equal-n, equal-k index still passes.
+    """
+    if len(values) != index.n:
+        problem = f"LCS file has {len(values)} entries, index has n={index.n}"
+    elif values[0] != 0:
+        problem = f"the first LCS value is {int(values[0])}, not 0"
+    elif values.max() > index.k - 1:
+        problem = f"LCS value {int(values.max())} exceeds k-1={index.k - 1}"
+    else:
+        return
+    raise FormatError(f"{lcs_path} does not match {index_path}: {problem}")
+
+
 def cmd_dump(args) -> int:
     try:
         index = load_index(args.index)
         values = load_lcs(args.lcs) if args.lcs else None
+        if values is not None:
+            check_lcs_pair(index, values, args.index, args.lcs)
     except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if values is not None and len(values) != index.n:
-        print(
-            f"error: LCS file has {len(values)} entries, index has n={index.n}",
-            file=sys.stderr,
-        )
         return EXIT_IO
     spectrum = decode_spectrum(index)
     for i, kmer in enumerate(spectrum.kmers):
@@ -267,14 +286,9 @@ def cmd_query(args) -> int:
     try:
         index = load_index(args.index)
         values = load_lcs(args.lcs)
+        check_lcs_pair(index, values, args.index, args.lcs)
     except (OSError, FormatError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    if len(values) != index.n:
-        print(
-            f"error: LCS file has {len(values)} entries, index has n={index.n}",
-            file=sys.stderr,
-        )
         return EXIT_IO
     if args.action == "lookup":
         for kmer in args.kmers:
@@ -290,6 +304,9 @@ def cmd_query(args) -> int:
         lo, hi = (int(x) for x in args.interval.split(","))
     except ValueError:
         print(f"error: malformed interval {args.interval!r}", file=sys.stderr)
+        return EXIT_USAGE
+    if not 1 <= args.suffix_len <= index.k:
+        print(f"error: --suffix-len must be in 1..k={index.k}", file=sys.stderr)
         return EXIT_USAGE
     try:
         result = left_contract(
@@ -368,7 +385,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcs", help="construct the LCS array of an index")
     p.add_argument("index")
     p.add_argument("-o", "--output", required=True, help="LCS output path")
-    p.add_argument("-a", "--algorithm", choices=ALGORITHMS, default="linear")
+    p.add_argument("-a", "--algorithm", choices=("auto", *ALGORITHMS), default="auto")
     p.add_argument("--super-width", type=int, choices=SUPER_WIDTHS, default=2)
     p.set_defaults(func=cmd_lcs)
 

@@ -56,6 +56,16 @@ def propagate_round(state: PropagationState, index: SbwtIndex) -> PropagationSta
     return state
 
 
+def stamp_mismatches(
+    labels: np.ndarray, open_slots: np.ndarray, lcs: np.ndarray, value: int
+) -> None:
+    """Give every open slot whose label differs from its left neighbour's the
+    value, and close it."""
+    hits = np.flatnonzero(open_slots[1:] & (labels[1:] != labels[:-1])) + 1
+    lcs[hits] = value
+    open_slots[hits] = False
+
+
 def lcs_basic(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
     """LCS array via k propagation rounds over the matrix.
 
@@ -69,9 +79,7 @@ def lcs_basic(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
     open_slots = np.ones(n, dtype=bool)
     open_slots[0] = False
     for rnd in range(index.k):
-        hits = np.flatnonzero(open_slots[1:] & (state.labels[1:] != state.labels[:-1])) + 1
-        lcs[hits] = rnd
-        open_slots[hits] = False
+        stamp_mismatches(state.labels, open_slots, lcs, rnd)
         propagate_round(state, index)
     if stats is not None:
         stats.rounds = state.rounds_done

@@ -8,7 +8,8 @@ run is O(n) for the fixed four-letter alphabet.
 Rounds are processed as batches: per base, one vectorized rank call over
 all round entries replaces the per-interval queries. Within a round the
 claim order is immaterial because competing claims always carry the same
-value and push the same endpoint.
+value and push the same endpoint, so duplicates are resolved by an owner
+scatter rather than a sort.
 """
 
 from __future__ import annotations
@@ -19,12 +20,18 @@ from .index import SbwtIndex
 from .stats import BuildStats
 
 
-def _claim(lcs, slots, value):
-    """First-come claim of unset slots; returns indexes of winning candidates."""
-    uniq, first = np.unique(slots, return_index=True)
-    fresh = lcs[uniq] < 0
-    lcs[uniq[fresh]] = value
-    return first[fresh]
+def _claim(lcs, owner, slots, value):
+    """Claim the unset slots; returns one winning candidate index per slot.
+
+    Candidates on already-set slots drop out, the rest stamp the value and
+    write their position into owner (an int32 scratch array of length n);
+    the candidate that reads its own position back wins its slot.
+    """
+    pos = np.flatnonzero(lcs[slots] < 0)
+    free = slots[pos]
+    lcs[free] = value
+    owner[free] = pos
+    return pos[owner[free] == pos]
 
 
 def lcs_linear(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
@@ -32,6 +39,7 @@ def lcs_linear(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
     n, k = index.n, index.k
     lcs = np.full(n, -1, dtype=np.int32)
     lcs[0] = 0
+    owner = np.empty(n, dtype=np.int32)
     rounds = rank_queries = pushed = 0
     los = np.array([1], dtype=np.int64)
     his = np.array([n], dtype=np.int64)
@@ -59,7 +67,7 @@ def lcs_linear(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
             cand_hi.append(new_hi[keep])
         slots = np.concatenate(cand_hi)  # 0-based slot index == right endpoint
         all_lo = np.concatenate(cand_lo)
-        won = _claim(lcs, slots, i - 1)
+        won = _claim(lcs, owner, slots, i - 1)
         los = all_lo[won]
         his = slots[won]
         pushed += len(won)
@@ -83,6 +91,7 @@ def lcs_linear_endpoints(index: SbwtIndex, stats: BuildStats | None = None) -> n
     n, k = index.n, index.k
     lcs = np.full(n, -1, dtype=np.int32)
     lcs[0] = 0
+    owner = np.empty(n, dtype=np.int32)
     rounds = rank_queries = pushed = 0
     his = np.array([n], dtype=np.int64)
     for i in range(1, k + 1):
@@ -97,7 +106,7 @@ def lcs_linear_endpoints(index: SbwtIndex, stats: BuildStats | None = None) -> n
             new_hi = index.counts.values[c] + index.matrix.rows[c].rank_many(his)
             cand.append(new_hi[new_hi < n])
         slots = np.concatenate(cand)
-        won = _claim(lcs, slots, i - 1)
+        won = _claim(lcs, owner, slots, i - 1)
         his = slots[won]
         pushed += len(won)
     if (lcs < 0).any():

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .index import ConcatRep, SbwtIndex, to_concat
-from .lcs_basic import propagate_round, start_state
+from .lcs_basic import propagate_round, stamp_mismatches, start_state
 from .stats import BuildStats
 
 
@@ -96,9 +96,7 @@ def lcs_super(index: SbwtIndex, c: int = 2, stats: BuildStats | None = None) -> 
     state = start_state(index)
     packed = state.labels.astype(np.int64)
     for rnd in range(c):
-        hits = np.flatnonzero(open_slots[1:] & (state.labels[1:] != state.labels[:-1])) + 1
-        lcs[hits] = rnd
-        open_slots[hits] = False
+        stamp_mismatches(state.labels, open_slots, lcs, rnd)
         if rnd < c - 1:
             propagate_round(state, index)
             packed = packed * 5 + state.labels

@@ -1,6 +1,7 @@
 """End-to-end command behaviour: exit codes, formats, cross-validation."""
 
 import struct
+from random import Random
 
 import pytest
 
@@ -24,6 +25,14 @@ def worked_files(worked_fasta, tmp_path):
     assert main(["build", worked_fasta, "-k", "4", "-o", index]) == 0
     assert main(["lcs", index, "-a", "basic", "-o", lcs]) == 0
     return index, lcs
+
+
+@pytest.fixture
+def random_fasta(tmp_path):
+    path = tmp_path / "random.fa"
+    rng = Random(5)
+    path.write_text(">r\n" + "".join(rng.choice("ACGT") for _ in range(400)) + "\n")
+    return str(path)
 
 
 def assert_usage_error(argv, capsys):
@@ -110,6 +119,22 @@ class TestLcsCommand:
         line = capsys.readouterr().out.strip()
         assert line.startswith("algo=linear ms=") and " bytes=" in line
 
+    @pytest.mark.parametrize(
+        "k, ran", [(cli.AUTO_BASIC_MAX_K, "basic"), (cli.AUTO_BASIC_MAX_K + 1, "linear-endpoints")]
+    )
+    def test_default_picks_by_k(self, random_fasta, tmp_path, capsys, k, ran):
+        index = str(tmp_path / "r.sbwt")
+        assert main(["build", random_fasta, "-k", str(k), "-o", index]) == 0
+        files = {}
+        for flags in ([], ["-a", "basic"], ["-a", "linear"]):
+            out = str(tmp_path / f"{'-'.join(flags) or 'default'}.lcs")
+            capsys.readouterr()
+            assert main(["lcs", index, "-o", out, *flags]) == 0
+            files[tuple(flags)] = open(out, "rb").read()
+            if not flags:
+                assert capsys.readouterr().out.startswith(f"algo={ran} ms=")
+        assert len(set(files.values())) == 1
+
     def test_all_algorithms_byte_identical(self, worked_files, tmp_path):
         index, basic_path = worked_files
         reference = open(basic_path, "rb").read()
@@ -186,6 +211,35 @@ class TestDump:
         assert main(["lcs", other_index, "-o", other_lcs]) == 0
         assert main(["dump", index, other_lcs]) == 2
 
+    def test_lcs_from_larger_k_exits_2(self, worked_fasta, tmp_path, capsys):
+        # the worked strings give n=20 at k=6 and at k=8; the k=8 array holds a 7
+        index = str(tmp_path / "k6.sbwt")
+        other_index, other_lcs = str(tmp_path / "k8.sbwt"), str(tmp_path / "k8.lcs")
+        assert main(["build", worked_fasta, "-k", "6", "-o", index]) == 0
+        assert main(["build", worked_fasta, "-k", "8", "-o", other_index]) == 0
+        assert main(["lcs", other_index, "-o", other_lcs]) == 0
+        assert load_index(index).n == load_index(other_index).n
+        for argv in (["dump", index, other_lcs], ["query", index, other_lcs, "lookup", "AGGTAA"]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            err = capsys.readouterr().err
+            assert index in err and other_lcs in err and "k-1=5" in err
+
+    @pytest.mark.parametrize(
+        "rank, value, message",
+        [(1, 1, "first LCS value is 1"), (6, 4, "LCS value 4 exceeds k-1=3")],
+    )
+    def test_out_of_range_value_exits_2(self, worked_files, tmp_path, capsys, rank, value, message):
+        index, lcs = worked_files
+        values = load_lcs(lcs)
+        values[rank - 1] = value
+        bad = str(tmp_path / "bad.lcs")
+        cli.save_lcs(values, 4, bad)
+        for argv in (["dump", index, bad], ["query", index, bad, "lookup", "GTAA"]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert message in capsys.readouterr().err
+
     def test_rebuild_from_dump_is_fixed_point(self, worked_files, tmp_path, capsys):
         index, _ = worked_files
         capsys.readouterr()
@@ -216,6 +270,17 @@ class TestQuery:
         assert capsys.readouterr().out == "11\t13\t2\n"
         assert main(args + ["--point", "3"]) == 0
         assert capsys.readouterr().out == "11\t16\t1\n"
+
+    @pytest.mark.parametrize("suffix_len", ["40", "0"])
+    def test_suffix_len_outside_1_to_k_exits_1(self, random_fasta, tmp_path, capsys, suffix_len):
+        index, lcs = str(tmp_path / "r.sbwt"), str(tmp_path / "r.lcs")
+        assert main(["build", random_fasta, "-k", "31", "-o", index]) == 0
+        assert main(["lcs", index, "-o", lcs]) == 0
+        capsys.readouterr()
+        args = ["--interval", "5,5", "--suffix-len", suffix_len, "--point", "3"]
+        assert main(["query", index, lcs, "contract", *args]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "1..k=31" in captured.err
 
     def test_malformed_kmer_exits_1(self, worked_files):
         index, lcs = worked_files

@@ -2,7 +2,10 @@
 
 from random import Random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbwt_lcs import (
     build_index,
@@ -12,6 +15,7 @@ from sbwt_lcs import (
     lcs_linear_endpoints,
     naive_lcs,
 )
+from sbwt_lcs.lcs_linear import _claim
 from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, brute_l_intervals, random_instance, suffix_intervals
@@ -73,6 +77,41 @@ class TestCounters:
             assert stats.intervals_pushed <= index.n
             assert stats.lcs_writes == index.n
             assert stats.rounds <= index.k
+
+
+def claim_by_sort(lcs, slots, value):
+    """The sort-based claim the owner scatter replaced: first candidate per slot."""
+    uniq, first = np.unique(slots, return_index=True)
+    fresh = lcs[uniq] < 0
+    lcs[uniq[fresh]] = value
+    return first[fresh]
+
+
+class TestClaim:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(1, 40).flatmap(
+            lambda n: st.tuples(
+                st.lists(st.booleans(), min_size=n, max_size=n),
+                st.lists(st.integers(0, n - 1), max_size=3 * n),
+                st.lists(st.integers(-5, 5), min_size=n, max_size=n),
+            )
+        ),
+        st.integers(0, 100),
+    )
+    def test_matches_sort_reference(self, case, value):
+        already_set, slots, stale = case
+        slots = np.array(slots, dtype=np.int64)
+        lcs = np.where(already_set, 7, -1).astype(np.int32)
+        expected_lcs = lcs.copy()
+        expected = claim_by_sort(expected_lcs, slots, value)
+        owner = np.array(stale, dtype=np.int32)  # left over from earlier rounds
+        won = _claim(lcs, owner, slots, value)
+        assert lcs.tobytes() == expected_lcs.tobytes()
+        # one winner per freshly claimed slot; which duplicate wins is free
+        assert len(won) == len(expected)
+        assert sorted(slots[won]) == sorted(slots[expected])
+        assert (np.diff(won) > 0).all()  # winners stay in candidate order
 
 
 class TestLemmas:
