@@ -8,8 +8,6 @@ from .index import (
     SbwtIndex,
     SubsetMatrix,
     build_index,
-    char_rank,
-    enumerate_right,
     extend_right,
     load_index,
     save_index,
@@ -44,10 +42,8 @@ __all__ = [
     "SubsetMatrix",
     "SuffixInterval",
     "build_index",
-    "char_rank",
     "colex_less",
     "decode_spectrum",
-    "enumerate_right",
     "expand_alphabet",
     "extend_right",
     "extended_spectrum",

@@ -1,4 +1,4 @@
-"""Command-line front end: build, lcs, verify, dump, query, bench.
+"""Command-line front end: build, lcs, verify, dump, query.
 
 Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
 3 cross-validation failure.
@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import re
 import resource
-import statistics
 import struct
 import sys
 import time
@@ -26,12 +25,11 @@ from .index import (
     save_index,
 )
 from .lcs_basic import decode_spectrum, lcs_basic
-from .lcs_linear import lcs_linear, lcs_linear_endpoints
+from .lcs_linear import lcs_linear
 from .lcs_superalphabet import lcs_super
 from .oracle import extended_spectrum, naive_lcs
 from .packed import pack_pieces, subset_rows
 from .queries import SuffixInterval, left_contract, lookup
-from .stats import BuildStats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -43,12 +41,9 @@ MAX_K = 4096
 LCS_MAGIC = b"LCSARR01"
 _LCS_HEADER = struct.Struct("<8sQB")
 
-ALGORITHMS = ("basic", "super", "linear", "linear-endpoints")
-# `lcs -a auto` runs basic up to this k and linear-endpoints above it; the
-# crossover comes from the sweep in README.md ("Choosing the algorithm")
+# `lcs` runs basic up to this k and linear above it; the crossover comes
+# from the sweep in README.md ("Choosing the algorithm")
 AUTO_BASIC_MAX_K = 63
-# powers of two whose 5**c still packs into uint64 (lcs_superalphabet)
-SUPER_WIDTHS = (2, 4, 8, 16)
 
 _RC = str.maketrans("ACGT", "TGCA")
 _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")
@@ -129,59 +124,38 @@ def load_lcs(path: str) -> np.ndarray:
 # commands
 
 
-def _construct(index: SbwtIndex, algorithm: str, width: int, stats=None) -> np.ndarray:
-    if algorithm == "basic":
-        return lcs_basic(index, stats)
-    if algorithm == "super":
-        return lcs_super(index, width, stats)
-    if algorithm == "linear":
-        return lcs_linear(index, stats)
-    if algorithm == "linear-endpoints":
-        return lcs_linear_endpoints(index, stats)
-    raise ValueError(f"unknown algorithm {algorithm!r}")
+def packed_index(pieces: list[str], k: int) -> SbwtIndex:
+    """The index of the pieces, built from packed k-mer keys."""
+    ps = pack_pieces(pieces, k)
+    return SbwtIndex(k, ps.n, subset_rows(ps))
 
 
 def cmd_build(args) -> int:
     if not 1 <= args.k <= MAX_K:
         print(f"error: k must be in 1..{MAX_K}", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        records = read_fasta(args.input)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    records = read_fasta(args.input)
     pieces = clean_pieces([seq for _, seq in records], args.add_rc)
     if not any(len(p) >= args.k for p in pieces):
         print(f"error: no {args.k}-mers extracted from {args.input}", file=sys.stderr)
         return EXIT_IO
-    index = SbwtIndex(args.k, subset_rows(pack_pieces(pieces, args.k)))
-    try:
-        save_index(index, args.output)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    index = packed_index(pieces, args.k)
+    save_index(index, args.output)
     print(f"n={index.n} k={index.k}")
     return EXIT_OK
 
 
 def cmd_lcs(args) -> int:
-    try:
-        index = load_index(args.index)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    algorithm = args.algorithm
-    if algorithm == "auto":
-        algorithm = "basic" if index.k <= AUTO_BASIC_MAX_K else "linear-endpoints"
+    index = load_index(args.index)
+    if index.k <= AUTO_BASIC_MAX_K:
+        algorithm, construct = "basic", lcs_basic
+    else:
+        algorithm, construct = "linear", lcs_linear
     start = time.perf_counter()
-    values = _construct(index, algorithm, args.super_width)
+    values = construct(index)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     peak_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
-    try:
-        save_lcs(values, index.k, args.output)
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    save_lcs(values, index.k, args.output)
     print(f"algo={algorithm} ms={elapsed_ms:.3f} bytes={peak_bytes}")
     return EXIT_OK
 
@@ -189,7 +163,7 @@ def cmd_lcs(args) -> int:
 def _verify_one(pieces: list[str], k: int, label: str) -> int:
     spectrum = extended_spectrum(pieces, k)
     index = build_index(spectrum)
-    if SbwtIndex(k, subset_rows(pack_pieces(pieces, k))) != index:
+    if packed_index(pieces, k) != index:
         print(f"mismatch in {label}: the index built from packed keys differs", file=sys.stderr)
         return EXIT_VERIFY
     arrays = [
@@ -197,7 +171,6 @@ def _verify_one(pieces: list[str], k: int, label: str) -> int:
         ("basic", lcs_basic(index)),
         ("super", lcs_super(index, 2)),
         ("linear", lcs_linear(index)),
-        ("linear-endpoints", lcs_linear_endpoints(index)),
     ]
     reference = arrays[0][1]
     for name, values in arrays[1:]:
@@ -234,11 +207,7 @@ def cmd_verify(args) -> int:
     if not args.input or not args.k:
         print("error: verify needs an input file and -k, or --random", file=sys.stderr)
         return EXIT_USAGE
-    try:
-        records = read_fasta(args.input)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    records = read_fasta(args.input)
     pieces = clean_pieces([seq for _, seq in records], False)
     code = _verify_one(pieces, args.k, args.input)
     if code == EXIT_OK:
@@ -264,14 +233,10 @@ def check_lcs_pair(index: SbwtIndex, values: np.ndarray, index_path: str, lcs_pa
 
 
 def cmd_dump(args) -> int:
-    try:
-        index = load_index(args.index)
-        values = load_lcs(args.lcs) if args.lcs else None
-        if values is not None:
-            check_lcs_pair(index, values, args.index, args.lcs)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    index = load_index(args.index)
+    values = load_lcs(args.lcs) if args.lcs else None
+    if values is not None:
+        check_lcs_pair(index, values, args.index, args.lcs)
     spectrum = decode_spectrum(index)
     for i, kmer in enumerate(spectrum.kmers):
         subset = index.subset_at(i + 1) or "-"
@@ -283,17 +248,15 @@ def cmd_dump(args) -> int:
 
 
 def cmd_query(args) -> int:
-    try:
-        index = load_index(args.index)
-        values = load_lcs(args.lcs)
-        check_lcs_pair(index, values, args.index, args.lcs)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+    index = load_index(args.index)
+    values = load_lcs(args.lcs)
+    check_lcs_pair(index, values, args.index, args.lcs)
     if args.action == "lookup":
         for kmer in args.kmers:
             try:
                 rank = lookup(index, kmer)
+            except FormatError:
+                raise
             except ValueError as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return EXIT_USAGE
@@ -316,33 +279,6 @@ def cmd_query(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     print(f"{result.interval.lo}\t{result.interval.hi}\t{result.suffix_len}")
-    return EXIT_OK
-
-
-def cmd_bench(args) -> int:
-    try:
-        index = load_index(args.index)
-    except (OSError, FormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    algorithms = args.algorithms.split(",")
-    for algo in algorithms:
-        if algo not in ALGORITHMS:
-            print(f"error: unknown algorithm {algo!r}", file=sys.stderr)
-            return EXIT_USAGE
-    print("algorithm\tk\tn\tmedian_ms\trank_queries\trounds")
-    for algo in algorithms:
-        times = []
-        stats = BuildStats()
-        for _ in range(args.repeats):
-            stats = BuildStats()
-            start = time.perf_counter()
-            _construct(index, algo, args.super_width, stats)
-            times.append((time.perf_counter() - start) * 1000.0)
-        print(
-            f"{algo}\t{index.k}\t{index.n}\t{statistics.median(times):.3f}"
-            f"\t{stats.rank_queries}\t{stats.rounds}"
-        )
     return EXIT_OK
 
 
@@ -385,8 +321,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("lcs", help="construct the LCS array of an index")
     p.add_argument("index")
     p.add_argument("-o", "--output", required=True, help="LCS output path")
-    p.add_argument("-a", "--algorithm", choices=("auto", *ALGORITHMS), default="auto")
-    p.add_argument("--super-width", type=int, choices=SUPER_WIDTHS, default=2)
     p.set_defaults(func=cmd_lcs)
 
     p = sub.add_parser("verify", help="cross-check all construction paths")
@@ -416,20 +350,18 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--point", type=int, required=True)
     p.set_defaults(func=cmd_query)
 
-    p = sub.add_parser("bench", help="time the construction algorithms")
-    p.add_argument("index")
-    p.add_argument(
-        "--algorithms", default=",".join(ALGORITHMS), help="comma-separated list"
-    )
-    p.add_argument("-r", "--repeats", type=positive_int, default=3)
-    p.add_argument("--super-width", type=int, choices=SUPER_WIDTHS, default=2)
-    p.set_defaults(func=cmd_bench)
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command; an OSError or FormatError from any of them prints
+    its message and exits with EXIT_IO."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (OSError, FormatError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 from typing import BinaryIO, NamedTuple
 
 import numpy as np
@@ -51,11 +52,10 @@ class Bitvector:
 
     __slots__ = ("n", "popcount", "_words", "_super", "_block")
 
-    def __init__(self, bits: np.ndarray):
-        bits = np.asarray(bits, dtype=bool)
-        self.n = len(bits)
-        packed = np.packbits(bits, bitorder="little")
-        nwords = (self.n + 63) >> 6
+    def __init__(self, packed: np.ndarray, n: int):
+        """packed: n bits in ceil(n/8) LSB-first bytes, padding bits clear."""
+        self.n = n
+        nwords = (n + 63) >> 6
         buf = np.zeros((nwords + 1) * 8, dtype=np.uint8)  # one zero pad word
         buf[: len(packed)] = packed
         self._words = buf.view(np.uint64)
@@ -93,7 +93,7 @@ class Bitvector:
 
     def to_bool(self) -> np.ndarray:
         raw = self._words.view(np.uint8)
-        return np.unpackbits(raw, count=self.n, bitorder="little").astype(bool)
+        return np.unpackbits(raw, count=self.n, bitorder="little").view(bool)
 
     def packed_bytes(self) -> bytes:
         """LSB-first packed bits, exactly ceil(n/8) bytes."""
@@ -128,31 +128,38 @@ class CumulativeCounts:
 class SbwtIndex:
     """Queryable subset-matrix index: matrix + cumulative counts + order k."""
 
-    def __init__(self, k: int, row_bits: np.ndarray):
-        """row_bits: bool array of shape (4, n), rows in A,C,G,T order."""
+    def __init__(self, k: int, n: int, rows: np.ndarray):
+        """rows: uint8 array of shape (4, ceil(n/8)), the A,C,G,T rows as
+        LSB-first packed bits (the layout of the index file)."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        row_bits = np.asarray(row_bits, dtype=bool)
-        if row_bits.ndim != 2 or row_bits.shape[0] != 4 or row_bits.shape[1] < 1:
-            raise ValueError("expected a 4 x n bit matrix with n >= 1")
+        rows = np.asarray(rows, dtype=np.uint8)
+        if n < 1 or rows.shape != (4, (n + 7) >> 3):
+            raise ValueError("expected 4 rows of ceil(n/8) packed bytes with n >= 1")
+        if n & 7 and (rows[:, -1] >> (n & 7)).any():
+            raise FormatError("nonzero padding bits in row data")
         self.k = k
-        self.n = int(row_bits.shape[1])
-        self.matrix = SubsetMatrix(self.n, tuple(Bitvector(r) for r in row_bits))
+        self.n = n
+        self.matrix = SubsetMatrix(n, tuple(Bitvector(r, n) for r in rows))
         pops = [bv.popcount for bv in self.matrix.rows]
-        if sum(pops) != self.n - 1:
+        if sum(pops) != n - 1:
             raise FormatError(
-                f"inconsistent subset matrix: {sum(pops)} set bits for n={self.n}"
+                f"inconsistent subset matrix: {sum(pops)} set bits for n={n}"
             )
         cum = [1]
         for p in pops[:-1]:
             cum.append(cum[-1] + p)
         self.counts = CumulativeCounts(tuple(cum))
-        # 0-based columns carrying each base, in column order (the LF fill order)
-        self.char_columns = tuple(np.flatnonzero(row_bits[c]) for c in range(4))
         # 0-based destination slice [start, stop) of each base's LF block
         self.lf_slices = tuple(
             (cum[c], cum[c] + pops[c]) for c in range(4)
         )
+
+    @cached_property
+    def char_columns(self) -> tuple[np.ndarray, ...]:
+        """0-based columns carrying each base, in column order (the LF fill
+        order); unpacked one row at a time on first use."""
+        return tuple(np.flatnonzero(bv.to_bool()) for bv in self.matrix.rows)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SbwtIndex):
@@ -181,14 +188,8 @@ def build_index(s: SortedSpectrum) -> SbwtIndex:
     Fails if the spectrum is not prefix-closed (some k-mer would have no
     predecessor), since the LF mapping is then not a bijection.
     """
-    return SbwtIndex(s.k, subset_rows(pack_kmers(s.kmers, s.k)))
-
-
-def char_rank(index: SbwtIndex, base: str, i: int) -> int:
-    """Set bits of the base's row among columns 1..i (i may be 0)."""
-    if base not in BASE_CODES:
-        raise ValueError(f"invalid base {base!r}")
-    return index.matrix.row(base).rank(i)
+    ps = pack_kmers(s.kmers, s.k)
+    return SbwtIndex(ps.k, ps.n, subset_rows(ps))
 
 
 def extend_right(
@@ -209,18 +210,6 @@ def extend_right(
     if low_rank == high_rank:
         return None
     return ColexInterval(c + low_rank + 1, c + high_rank)
-
-
-def enumerate_right(index: SbwtIndex, lo: int, hi: int) -> str:
-    """Bases whose right extension of [lo, hi] is nonempty, in order."""
-    if not 1 <= lo <= hi <= index.n:
-        raise ValueError(f"invalid interval [{lo}, {hi}] for n={index.n}")
-    out = []
-    for base in BASES:
-        row = index.matrix.row(base)
-        if row.rank(hi) > row.rank(lo - 1):
-            out.append(base)
-    return "".join(out)
 
 
 @dataclass(frozen=True)
@@ -314,17 +303,5 @@ def load_index(source) -> SbwtIndex:
         raise FormatError("truncated index file")
     if len(data) > expected:
         raise FormatError("trailing data after index payload")
-    rows = np.zeros((4, n), dtype=bool)
-    for c in range(4):
-        start = _HEADER.size + c * row_bytes
-        raw = np.frombuffer(data, dtype=np.uint8, count=row_bytes, offset=start)
-        bits = np.unpackbits(raw, bitorder="little")
-        if bits[n:].any():
-            raise FormatError("nonzero padding bits in row data")
-        rows[c] = bits[:n]
-    try:
-        return SbwtIndex(int(k), rows)
-    except FormatError:
-        raise
-    except ValueError as exc:
-        raise FormatError(str(exc)) from exc
+    rows = np.frombuffer(data, dtype=np.uint8, count=4 * row_bytes, offset=_HEADER.size)
+    return SbwtIndex(int(k), int(n), rows.reshape(4, row_bytes))

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .index import ConcatRep, SbwtIndex, to_concat
+from .index import ConcatRep, FormatError, SbwtIndex, to_concat
 from .lcs_basic import propagate_round, stamp_mismatches, start_state
 from .stats import BuildStats
 
@@ -66,15 +66,6 @@ def expand_alphabet(rep: ConcatRep, index: SbwtIndex) -> ConcatRep:
         src=np.repeat(rep.src, sizes),
         dest=rep.dest[flat],
     )
-
-
-def super_cumulative(packed_suffixes: np.ndarray, label: int) -> int:
-    """Count of k-mers whose packed length-c suffix sorts below the label.
-
-    packed_suffixes is the phase-1 decoded array in rank order, which is
-    already non-decreasing; the count is a plain binary search.
-    """
-    return int(np.searchsorted(packed_suffixes, label, side="left"))
 
 
 def lcs_super(index: SbwtIndex, c: int = 2, stats: BuildStats | None = None) -> np.ndarray:
@@ -132,7 +123,7 @@ def lcs_super(index: SbwtIndex, c: int = 2, stats: BuildStats | None = None) -> 
                 undecided &= ~hit
 
     if open_slots.any():
-        raise AssertionError("super-alphabet rounds left unfilled LCS slots")
+        raise FormatError("inconsistent index: super-alphabet rounds left unfilled LCS slots")
     if stats is not None:
         stats.rounds = phase2
         stats.phase1_rounds = c

@@ -281,7 +281,8 @@ def pack_kmers(kmers: Sequence[str], k: int) -> PackedSpectrum:
 
 
 def subset_rows(ps: PackedSpectrum) -> np.ndarray:
-    """The 4 x n subset matrix of a packed spectrum, rows in A,C,G,T order.
+    """The 4 x n subset matrix of a packed spectrum, rows in A,C,G,T order,
+    each packed LSB-first into ceil(n/8) bytes as SbwtIndex takes them.
 
     Entry j sets the bit of its last symbol at the first column whose
     (k-1)-suffix equals its (k-1)-prefix. The suffixes of colex-sorted rows
@@ -307,4 +308,4 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
             c = int(last[np.argmin(found)])
             raise ValueError(f"spectrum is not prefix-closed at base {BASES[c]}")
         rows[last, at] = True
-    return rows
+    return np.packbits(rows, axis=1, bitorder="little")

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .alphabet import check_bases
-from .index import ColexInterval, SbwtIndex, extend_right
+from .index import ColexInterval, FormatError, SbwtIndex, extend_right
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,11 @@ class SuffixInterval:
 
 
 def lookup(index: SbwtIndex, kmer: str) -> int | None:
-    """Colex rank of the k-mer in the spectrum, or None if absent."""
+    """Colex rank of the k-mer in the spectrum, or None if absent.
+
+    Raises FormatError if the k-mer's interval is not a single rank, which
+    only an inconsistent index can give.
+    """
     if len(kmer) != index.k:
         raise ValueError(f"query length {len(kmer)} != k={index.k}")
     check_bases(kmer, "query k-mer")
@@ -34,7 +38,8 @@ def lookup(index: SbwtIndex, kmer: str) -> int | None:
         if found is None:
             return None
         lo, hi = found
-    assert lo == hi, "interval of a full k-mer must be a singleton"
+    if lo != hi:
+        raise FormatError(f"inconsistent index: k-mer {kmer} spans ranks {lo}..{hi}")
     return lo
 
 

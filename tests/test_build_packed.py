@@ -24,7 +24,8 @@ KS = (1, 2, 3, 31, 32, 33, 63, 64, 65, 127, 128)
 
 
 def packed_index(pieces, k):
-    return SbwtIndex(k, subset_rows(pack_pieces(pieces, k)))
+    ps = pack_pieces(pieces, k)
+    return SbwtIndex(k, ps.n, subset_rows(ps))
 
 
 def index_bytes(index):

@@ -3,9 +3,19 @@
 import struct
 from random import Random
 
+import numpy as np
 import pytest
 
-from sbwt_lcs import cli, load_index
+from sbwt_lcs import (
+    SbwtIndex,
+    cli,
+    extended_spectrum,
+    lcs_linear,
+    lcs_super,
+    load_index,
+    naive_lcs,
+    save_index,
+)
 from sbwt_lcs.cli import load_lcs, main
 
 from conftest import WORKED_LCS
@@ -23,7 +33,7 @@ def worked_files(worked_fasta, tmp_path):
     index = str(tmp_path / "worked.sbwt")
     lcs = str(tmp_path / "worked.lcs")
     assert main(["build", worked_fasta, "-k", "4", "-o", index]) == 0
-    assert main(["lcs", index, "-a", "basic", "-o", lcs]) == 0
+    assert main(["lcs", index, "-o", lcs]) == 0
     return index, lcs
 
 
@@ -115,32 +125,30 @@ class TestLcsCommand:
         index, _ = worked_files
         capsys.readouterr()
         out = str(tmp_path / "out.lcs")
-        assert main(["lcs", index, "-a", "linear", "-o", out]) == 0
+        assert main(["lcs", index, "-o", out]) == 0
         line = capsys.readouterr().out.strip()
-        assert line.startswith("algo=linear ms=") and " bytes=" in line
+        assert line.startswith("algo=basic ms=") and " bytes=" in line
 
     @pytest.mark.parametrize(
-        "k, ran", [(cli.AUTO_BASIC_MAX_K, "basic"), (cli.AUTO_BASIC_MAX_K + 1, "linear-endpoints")]
+        "k, ran", [(cli.AUTO_BASIC_MAX_K, "basic"), (cli.AUTO_BASIC_MAX_K + 1, "linear")]
     )
     def test_default_picks_by_k(self, random_fasta, tmp_path, capsys, k, ran):
-        index = str(tmp_path / "r.sbwt")
+        index, out, expected = (str(tmp_path / name) for name in ("r.sbwt", "r.lcs", "naive.lcs"))
         assert main(["build", random_fasta, "-k", str(k), "-o", index]) == 0
-        files = {}
-        for flags in ([], ["-a", "basic"], ["-a", "linear"]):
-            out = str(tmp_path / f"{'-'.join(flags) or 'default'}.lcs")
-            capsys.readouterr()
-            assert main(["lcs", index, "-o", out, *flags]) == 0
-            files[tuple(flags)] = open(out, "rb").read()
-            if not flags:
-                assert capsys.readouterr().out.startswith(f"algo={ran} ms=")
-        assert len(set(files.values())) == 1
+        capsys.readouterr()
+        assert main(["lcs", index, "-o", out]) == 0
+        assert capsys.readouterr().out.startswith(f"algo={ran} ms=")
+        pieces = cli.clean_pieces([seq for _, seq in cli.read_fasta(random_fasta)], False)
+        cli.save_lcs(naive_lcs(extended_spectrum(pieces, k)), k, expected)
+        assert open(out, "rb").read() == open(expected, "rb").read()
 
     def test_all_algorithms_byte_identical(self, worked_files, tmp_path):
         index, basic_path = worked_files
         reference = open(basic_path, "rb").read()
-        for algo in ("super", "linear", "linear-endpoints"):
-            out = str(tmp_path / f"{algo}.lcs")
-            assert main(["lcs", index, "-a", algo, "-o", out]) == 0
+        loaded = load_index(index)
+        for name, construct in (("super", lcs_super), ("linear", lcs_linear)):
+            out = str(tmp_path / f"{name}.lcs")
+            cli.save_lcs(construct(loaded), loaded.k, out)
             assert open(out, "rb").read() == reference
 
     def test_unknown_algorithm_exits_1(self, worked_files, tmp_path):
@@ -149,15 +157,21 @@ class TestLcsCommand:
             main(["lcs", index, "-a", "magic", "-o", str(tmp_path / "x")])
         assert err.value.code == 1
 
-    def test_bad_super_width_exits_1(self, worked_files, tmp_path, capsys):
-        index, _ = worked_files
-        argv = ["lcs", index, "-a", "super", "-o", str(tmp_path / "x"), "--super-width", "3"]
-        assert_usage_error(argv, capsys)
-
     def test_bad_index_exits_2(self, tmp_path):
         bad = tmp_path / "bad.sbwt"
         bad.write_bytes(b"garbage")
         assert main(["lcs", str(bad), "-o", str(tmp_path / "x")]) == 2
+
+    def test_set_padding_bit_exits_2(self, worked_files, tmp_path, capsys):
+        # n=18: the last byte of each row holds 2 column bits and 6 padding bits
+        index, _ = worked_files
+        data = bytearray(open(index, "rb").read())
+        data[-1] |= 0x40
+        bad = tmp_path / "pad.sbwt"
+        bad.write_bytes(bytes(data))
+        capsys.readouterr()
+        assert main(["lcs", str(bad), "-o", str(tmp_path / "x")]) == 2
+        assert "padding" in capsys.readouterr().err
 
     def test_value_width_tracks_k(self, tmp_path, capsys):
         fa = tmp_path / "w.fa"
@@ -282,6 +296,18 @@ class TestQuery:
         captured = capsys.readouterr()
         assert captured.out == "" and "1..k=31" in captured.err
 
+    def test_inconsistent_index_exits_2(self, tmp_path, capsys):
+        # k=1, n=3, row A = 110: the bit total is right, but A spans ranks 2..3
+        rows = np.zeros((4, 1), dtype=np.uint8)
+        rows[0, 0] = 0b011
+        index, lcs = str(tmp_path / "bad.sbwt"), str(tmp_path / "bad.lcs")
+        save_index(SbwtIndex(1, 3, rows), index)
+        cli.save_lcs(np.zeros(3, dtype=np.int32), 1, lcs)
+        capsys.readouterr()
+        assert main(["query", index, lcs, "lookup", "A"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "ranks 2..3" in captured.err
+
     def test_malformed_kmer_exits_1(self, worked_files):
         index, lcs = worked_files
         assert main(["query", index, lcs, "lookup", "GT"]) == 1
@@ -323,32 +349,6 @@ class TestVerify:
         assert main(["verify", worked_fasta, "-k", "4"]) == 3
         err = capsys.readouterr().err
         assert "mismatch" in err and "rank" in err
-
-
-class TestBench:
-    def test_counters(self, worked_files, capsys):
-        index, _ = worked_files
-        capsys.readouterr()
-        assert main(["bench", index, "-r", "2"]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0] == "algorithm\tk\tn\tmedian_ms\trank_queries\trounds"
-        rows = {l.split("\t")[0]: l.split("\t") for l in lines[1:]}
-        assert rows["basic"][5] == "4"  # exactly k rounds
-        assert rows["super"][5] == "1"  # ceil((4-2)/2)
-        assert int(rows["linear"][4]) == 2 * int(rows["linear-endpoints"][4])
-
-    def test_unknown_algorithm_exits_1(self, worked_files):
-        index, _ = worked_files
-        assert main(["bench", index, "--algorithms", "basic,nope"]) == 1
-
-    @pytest.mark.parametrize("value", ["0", "-1", "two"])
-    def test_non_positive_repeats_exit_1(self, worked_files, value, capsys):
-        index, _ = worked_files
-        assert_usage_error(["bench", index, "-r", value], capsys)
-
-    def test_bad_super_width_exits_1(self, worked_files, capsys):
-        index, _ = worked_files
-        assert_usage_error(["bench", index, "--super-width", "3"], capsys)
 
 
 class TestIndexFileCompat:

@@ -12,8 +12,6 @@ from sbwt_lcs import (
     FormatError,
     SortedSpectrum,
     build_index,
-    char_rank,
-    enumerate_right,
     extend_right,
     extended_spectrum,
     load_index,
@@ -21,9 +19,15 @@ from sbwt_lcs import (
     to_concat,
 )
 from sbwt_lcs.alphabet import BASES, SYMBOLS
-from sbwt_lcs.index import MAGIC, Bitvector, ColexInterval
+from sbwt_lcs.index import MAGIC, Bitvector, ColexInterval, SbwtIndex
+from sbwt_lcs.lcs_basic import lcs_basic
 
 from conftest import WORKED_CONCAT_B, WORKED_MATRIX_ROWS, random_instance, suffix_intervals
+
+
+def bitvector(bits):
+    bits = np.asarray(bits, dtype=bool)
+    return Bitvector(np.packbits(bits, bitorder="little"), len(bits))
 
 
 def row_string(index, base):
@@ -35,7 +39,7 @@ class TestBitvector:
     @given(st.lists(st.booleans(), min_size=0, max_size=700))
     @settings(max_examples=60)
     def test_rank_matches_prefix_sums(self, bits):
-        bv = Bitvector(np.array(bits, dtype=bool))
+        bv = bitvector(bits)
         prefix = np.concatenate(([0], np.cumsum(bits)))
         for i in range(0, len(bits) + 1):
             assert bv.rank(i) == prefix[i]
@@ -43,7 +47,7 @@ class TestBitvector:
         assert (got == prefix).all()
 
     def test_rank_out_of_range(self):
-        bv = Bitvector(np.ones(10, dtype=bool))
+        bv = bitvector(np.ones(10, dtype=bool))
         with pytest.raises(IndexError):
             bv.rank(11)
         with pytest.raises(IndexError):
@@ -52,7 +56,7 @@ class TestBitvector:
     def test_long_vector_block_boundaries(self):
         rng = Random(5)
         bits = np.array([rng.random() < 0.3 for _ in range(5000)])
-        bv = Bitvector(bits)
+        bv = bitvector(bits)
         prefix = np.concatenate(([0], np.cumsum(bits)))
         probes = [0, 1, 63, 64, 65, 511, 512, 513, 1024, 4999, 5000]
         for i in probes:
@@ -84,22 +88,45 @@ class TestBuildIndex:
             build_index(SortedSpectrum(2, ("$$", "AC")))
 
 
+class TestConstructor:
+    @pytest.mark.parametrize(
+        "k, n, shape",
+        [(0, 18, (4, 3)), (4, 0, (4, 0)), (4, 18, (4, 2)), (4, 18, (3, 3))],
+        ids=["k=0", "n=0", "short rows", "three rows"],
+    )
+    def test_rejects_bad_arguments(self, k, n, shape):
+        with pytest.raises(ValueError):
+            SbwtIndex(k, n, np.zeros(shape, dtype=np.uint8))
+
+    def test_char_columns_built_on_first_use(self, worked_index):
+        buf = io.BytesIO()
+        save_index(worked_index, buf)
+        buf.seek(0)
+        index = load_index(buf)
+        assert "char_columns" not in vars(index)
+        lcs_basic(index)
+        for base, expected in WORKED_MATRIX_ROWS.items():
+            got = index.char_columns[BASES.index(base)]
+            assert got.tolist() == [i for i, bit in enumerate(expected) if bit == "1"]
+
+
 class TestCharRank:
+    """Rank over one base's row: set bits among columns 1..i."""
+
     def test_examples(self, worked_index):
-        assert char_rank(worked_index, "G", 9) == 3
-        assert char_rank(worked_index, "A", 18) == 8
+        assert worked_index.matrix.row("G").rank(9) == 3
+        assert worked_index.matrix.row("A").rank(18) == 8
         for base in BASES:
-            assert char_rank(worked_index, base, 0) == 0
+            assert worked_index.matrix.row(base).rank(0) == 0
 
     def test_full_rank_is_popcount(self, worked_index):
         for base in BASES:
-            assert char_rank(worked_index, base, 18) == worked_index.matrix.row(base).popcount
+            row = worked_index.matrix.row(base)
+            assert row.rank(18) == row.popcount
 
     def test_errors(self, worked_index):
         with pytest.raises(IndexError):
-            char_rank(worked_index, "A", 19)
-        with pytest.raises(ValueError):
-            char_rank(worked_index, "$", 3)
+            worked_index.matrix.row("A").rank(19)
 
 
 class TestExtendRight:
@@ -119,24 +146,6 @@ class TestExtendRight:
     def test_bad_base(self, worked_index):
         with pytest.raises(ValueError):
             extend_right(worked_index, 1, 18, "$")
-
-
-class TestEnumerateRight:
-    def test_examples(self, worked_index):
-        assert enumerate_right(worked_index, 1, 18) == "ACGT"
-        assert enumerate_right(worked_index, 1, 1) == "A"
-        assert enumerate_right(worked_index, 17, 17) == ""
-
-    def test_agrees_with_extend(self, worked_index):
-        rng = Random(3)
-        for _ in range(50):
-            lo = rng.randint(1, 18)
-            hi = rng.randint(lo, 18)
-            chars = enumerate_right(worked_index, lo, hi)
-            for base in BASES:
-                assert (extend_right(worked_index, lo, hi, base) is not None) == (
-                    base in chars
-                )
 
 
 class TestIntervalSemantics:
@@ -264,6 +273,16 @@ class TestPersistence:
         data = bytearray(buf.getvalue())
         data[24] |= 0x02  # set an extra bit in row A
         with pytest.raises(FormatError):
+            load_index(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize("row", range(4))
+    def test_set_padding_bit(self, worked_index, row):
+        # n=18 leaves 6 padding bits in each row's last byte
+        buf = io.BytesIO()
+        save_index(worked_index, buf)
+        data = bytearray(buf.getvalue())
+        data[24 + 3 * row + 2] |= 0x80
+        with pytest.raises(FormatError, match="padding"):
             load_index(io.BytesIO(bytes(data)))
 
     def test_magic_constant(self):

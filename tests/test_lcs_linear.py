@@ -1,5 +1,6 @@
-"""BFS construction, the endpoint-only variant, and the interval lemmas."""
+"""BFS construction over interval right endpoints, and the interval lemmas."""
 
+import importlib
 from random import Random
 
 import numpy as np
@@ -8,6 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbwt_lcs import (
+    FormatError,
+    SbwtIndex,
     build_index,
     extended_spectrum,
     lcs_basic,
@@ -26,11 +29,19 @@ class TestGolden:
         assert list(lcs_linear(worked_index)) == WORKED_LCS
 
     def test_worked_endpoints(self, worked_index):
-        assert list(lcs_linear_endpoints(worked_index)) == WORKED_LCS
+        # the endpoint BFS is the one linear construction, under both names
+        assert lcs_linear_endpoints is lcs_linear
 
     def test_one_column(self, one_column_index):
         assert list(lcs_linear(one_column_index)) == [0]
-        assert list(lcs_linear_endpoints(one_column_index)) == [0]
+
+    def test_inconsistent_index_raises(self):
+        # k=1, n=3, row A = 110: the bit total is right, but no extension
+        # reaches slot 3
+        rows = np.zeros((4, 1), dtype=np.uint8)
+        rows[0, 0] = 0b011
+        with pytest.raises(FormatError, match="1 LCS slots unfilled"):
+            lcs_linear(SbwtIndex(1, 3, rows))
 
     def test_round1_zero_slots(self, worked_index):
         values = lcs_linear(worked_index)
@@ -43,9 +54,7 @@ class TestEquivalence:
         rng = Random(88)
         kmers = ["".join(rng.choice("ACGT") for _ in range(8)) for _ in range(500)]
         index = build_index(extended_spectrum(kmers, 8))
-        basic = lcs_basic(index)
-        assert (lcs_linear(index) == basic).all()
-        assert (lcs_linear_endpoints(index) == basic).all()
+        assert (lcs_linear(index) == lcs_basic(index)).all()
 
     @pytest.mark.parametrize("seed", range(70, 80))
     def test_all_paths_agree(self, seed):
@@ -53,34 +62,24 @@ class TestEquivalence:
         strings, k = random_instance(rng)
         spectrum = extended_spectrum(strings, k)
         index = build_index(spectrum)
-        reference = naive_lcs(spectrum)
-        assert (lcs_linear(index) == reference).all()
-        assert (lcs_linear_endpoints(index) == reference).all()
+        assert (lcs_linear(index) == naive_lcs(spectrum)).all()
 
 
 class TestCounters:
-    def test_endpoint_variant_halves_rank_queries(self, worked_index):
-        two, one = BuildStats(), BuildStats()
-        lcs_linear(worked_index, two)
-        lcs_linear_endpoints(worked_index, one)
-        assert one.rank_queries == two.rank_queries // 2
-        assert one.intervals_pushed == two.intervals_pushed
-
     @pytest.mark.parametrize("seed", [91, 92, 93])
     def test_push_and_write_bounds(self, seed):
         rng = Random(seed)
         strings, k = random_instance(rng)
         index = build_index(extended_spectrum(strings, k))
-        for algorithm in (lcs_linear, lcs_linear_endpoints):
-            stats = BuildStats()
-            algorithm(index, stats)
-            assert stats.intervals_pushed <= index.n
-            assert stats.lcs_writes == index.n
-            assert stats.rounds <= index.k
+        stats = BuildStats()
+        lcs_linear(index, stats)
+        assert stats.intervals_pushed <= index.n
+        assert stats.lcs_writes == index.n
+        assert stats.rounds <= index.k
 
 
 def claim_by_sort(lcs, slots, value):
-    """The sort-based claim the owner scatter replaced: first candidate per slot."""
+    """The sort-based claim: the first candidate of each distinct unset slot."""
     uniq, first = np.unique(slots, return_index=True)
     fresh = lcs[uniq] < 0
     lcs[uniq[fresh]] = value
@@ -94,24 +93,36 @@ class TestClaim:
             lambda n: st.tuples(
                 st.lists(st.booleans(), min_size=n, max_size=n),
                 st.lists(st.integers(0, n - 1), max_size=3 * n),
-                st.lists(st.integers(-5, 5), min_size=n, max_size=n),
             )
         ),
         st.integers(0, 100),
     )
     def test_matches_sort_reference(self, case, value):
-        already_set, slots, stale = case
-        slots = np.array(slots, dtype=np.int64)
+        # non-decreasing slots with runs of duplicates, some already set
+        already_set, slots = case
+        slots = np.array(sorted(slots), dtype=np.int64)
         lcs = np.where(already_set, 7, -1).astype(np.int32)
         expected_lcs = lcs.copy()
         expected = claim_by_sort(expected_lcs, slots, value)
-        owner = np.array(stale, dtype=np.int32)  # left over from earlier rounds
-        won = _claim(lcs, owner, slots, value)
+        won = _claim(lcs, slots, value)
         assert lcs.tobytes() == expected_lcs.tobytes()
-        # one winner per freshly claimed slot; which duplicate wins is free
-        assert len(won) == len(expected)
-        assert sorted(slots[won]) == sorted(slots[expected])
-        assert (np.diff(won) > 0).all()  # winners stay in candidate order
+        assert won.tolist() == expected.tolist()
+
+    def test_bfs_rounds_claim_non_decreasing_slots(self, monkeypatch):
+        rng = Random(7)
+        strings, k = random_instance(rng, k=31)
+        index = build_index(extended_spectrum(strings, k))
+        rounds = []
+
+        def spy(lcs, slots, value):
+            rounds.append(slots.copy())
+            return _claim(lcs, slots, value)
+
+        # the package's lcs_linear attribute is the function; fetch the module
+        monkeypatch.setattr(importlib.import_module("sbwt_lcs.lcs_linear"), "_claim", spy)
+        assert (lcs_linear(index) == lcs_basic(index)).all()
+        assert len(rounds) > 1
+        assert all((np.diff(slots) >= 0).all() for slots in rounds)
 
 
 class TestLemmas:

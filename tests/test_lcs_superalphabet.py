@@ -16,7 +16,7 @@ from sbwt_lcs import (
     to_concat,
 )
 from sbwt_lcs.lcs_basic import propagate_round, start_state
-from sbwt_lcs.lcs_superalphabet import packed_dtype, super_cumulative
+from sbwt_lcs.lcs_superalphabet import packed_dtype
 from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, random_instance
@@ -127,18 +127,6 @@ class TestSuperStepEquivalence:
                 break
             power = 5 ** (c - 1 - d)
             assert ((stepped // power) % 5 == (expected // power) % 5).all()
-
-
-class TestSuperCumulative:
-    def test_counts_match_sorted_positions(self, worked_index):
-        state = start_state(worked_index)
-        packed = state.labels.astype(np.int64)
-        propagate_round(state, worked_index)
-        packed = packed * 5 + state.labels
-        assert (np.diff(packed) >= 0).all()  # suffixes are colex-sorted
-        for label in range(25):
-            expected = int((packed < label).sum())
-            assert super_cumulative(packed, label) == expected
 
 
 class TestLcsSuper:

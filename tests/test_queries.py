@@ -3,10 +3,13 @@
 from itertools import product
 from random import Random
 
+import numpy as np
 import pytest
 
 from sbwt_lcs import (
     ColexInterval,
+    FormatError,
+    SbwtIndex,
     SuffixInterval,
     build_index,
     extended_spectrum,
@@ -39,6 +42,13 @@ class TestLookup:
             lookup(worked_index, "GT$A")
         with pytest.raises(ValueError):
             lookup(worked_index, "GTNA")
+
+    def test_non_singleton_interval_raises(self):
+        # k=1, n=3, row A = 110: the bit total is right, but A spans ranks 2..3
+        rows = np.zeros((4, 1), dtype=np.uint8)
+        rows[0, 0] = 0b011
+        with pytest.raises(FormatError, match="ranks 2..3"):
+            lookup(SbwtIndex(1, 3, rows), "A")
 
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_exhaustive_small(self, k):
