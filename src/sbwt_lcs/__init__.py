@@ -2,7 +2,6 @@
 
 from .index import (
     ColexInterval,
-    ConcatRep,
     CumulativeCounts,
     FormatError,
     SbwtIndex,
@@ -11,11 +10,10 @@ from .index import (
     extend_right,
     load_index,
     save_index,
-    to_concat,
 )
 from .lcs_basic import decode_spectrum, initial_labels, lcs_basic, propagate_round
 from .lcs_linear import lcs_linear, lcs_linear_endpoints
-from .lcs_superalphabet import expand_alphabet, lcs_super
+from .lcs_superalphabet import lcs_super
 from .oracle import (
     SortedSpectrum,
     colex_less,
@@ -34,7 +32,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BuildStats",
     "ColexInterval",
-    "ConcatRep",
     "CumulativeCounts",
     "FormatError",
     "SbwtIndex",
@@ -44,7 +41,6 @@ __all__ = [
     "build_index",
     "colex_less",
     "decode_spectrum",
-    "expand_alphabet",
     "extend_right",
     "extended_spectrum",
     "initial_labels",
@@ -62,5 +58,4 @@ __all__ = [
     "propagate_round",
     "save_index",
     "source_set",
-    "to_concat",
 ]

@@ -131,9 +131,6 @@ def packed_index(pieces: list[str], k: int) -> SbwtIndex:
 
 
 def cmd_build(args) -> int:
-    if not 1 <= args.k <= MAX_K:
-        print(f"error: k must be in 1..{MAX_K}", file=sys.stderr)
-        return EXIT_USAGE
     records = read_fasta(args.input)
     pieces = clean_pieces([seq for _, seq in records], args.add_rc)
     if not any(len(p) >= args.k for p in pieces):
@@ -188,9 +185,6 @@ def _verify_one(pieces: list[str], k: int, label: str) -> int:
 
 
 def cmd_verify(args) -> int:
-    if args.k is not None and not 1 <= args.k <= MAX_K:
-        print(f"error: k must be in 1..{MAX_K}", file=sys.stderr)
-        return EXIT_USAGE
     if args.random:
         rng = Random(args.seed)
         for trial in range(args.trials):
@@ -297,6 +291,14 @@ def positive_int(text: str) -> int:
     return value
 
 
+def kmer_size(text: str) -> int:
+    """argparse type: a k-mer size in 1..MAX_K."""
+    value = positive_int(text)
+    if value > MAX_K:
+        raise argparse.ArgumentTypeError(f"must be at most {MAX_K}, got {value}")
+    return value
+
+
 class _Parser(argparse.ArgumentParser):
     """argparse exits with 2 on usage errors; this artifact reserves 2 for I/O."""
 
@@ -311,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("build", help="build an index from FASTA")
     p.add_argument("input", help="FASTA file")
-    p.add_argument("-k", type=int, required=True, help="k-mer size (1..4096)")
+    p.add_argument("-k", type=kmer_size, required=True, help=f"k-mer size (1..{MAX_K})")
     p.add_argument("-o", "--output", required=True, help="index output path")
     p.add_argument(
         "--add-rc", action="store_true", help="also index reverse complements"
@@ -325,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="cross-check all construction paths")
     p.add_argument("input", nargs="?", help="FASTA file (omit with --random)")
-    p.add_argument("-k", type=int, help="k-mer size; random per trial if omitted")
+    p.add_argument("-k", type=kmer_size, help="k-mer size; random per trial if omitted")
     p.add_argument("--random", action="store_true", help="synthetic random mode")
     p.add_argument("--trials", type=positive_int, default=100)
     p.add_argument("--count", type=positive_int, default=3, help="strings per random trial")

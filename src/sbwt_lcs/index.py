@@ -156,10 +156,16 @@ class SbwtIndex:
         )
 
     @cached_property
-    def char_columns(self) -> tuple[np.ndarray, ...]:
-        """0-based columns carrying each base, in column order (the LF fill
-        order); unpacked one row at a time on first use."""
-        return tuple(np.flatnonzero(bv.to_bool()) for bv in self.matrix.rows)
+    def pred(self) -> np.ndarray:
+        """pred[i] is the 0-based column whose edge leads into column i: the
+        first k-mer whose (k-1)-suffix is column i's (k-1)-prefix, so one
+        label round is the gather labels[pred]. pred[0] = 0 keeps the root
+        on itself. Base c's set columns fill its LF block in column order,
+        unpacked one row at a time on first use."""
+        pred = np.zeros(self.n, dtype=np.intp)
+        for (start, stop), bv in zip(self.lf_slices, self.matrix.rows):
+            pred[start:stop] = np.flatnonzero(bv.to_bool())
+        return pred
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SbwtIndex):
@@ -210,62 +216,6 @@ def extend_right(
     if low_rank == high_rank:
         return None
     return ColexInterval(c + low_rank + 1, c + high_rank)
-
-
-@dataclass(frozen=True)
-class ConcatRep:
-    """Concatenated subset representation, width-generalized.
-
-    labels holds one packed super-character per edge; boundaries is the
-    bitvector 1 0^(group size) per group, where groups are index columns at
-    width 1 and parent edges after each alphabet expansion. src and dest
-    are the 1-based endpoint ranks of each edge's label path; they are
-    derived bookkeeping that stands in for re-scanning boundaries with a
-    working copy of the counts.
-    """
-
-    width: int
-    n: int
-    labels: np.ndarray
-    boundaries: np.ndarray
-    src: np.ndarray
-    dest: np.ndarray
-
-    def boundary_string(self) -> str:
-        return "".join("1" if b else "0" for b in self.boundaries)
-
-    def groups(self) -> list[np.ndarray]:
-        """Per-group label arrays, decoded from the boundary bitvector."""
-        starts = np.flatnonzero(self.boundaries)
-        sizes = np.diff(np.append(starts, len(self.boundaries))) - 1
-        offsets = np.concatenate(([0], np.cumsum(sizes)))
-        return [self.labels[offsets[g] : offsets[g + 1]] for g in range(len(starts))]
-
-
-def to_concat(index: SbwtIndex) -> ConcatRep:
-    """Width-1 concatenated representation of the subset matrix."""
-    n = index.n
-    bits = np.stack([bv.to_bool() for bv in index.matrix.rows])
-    flat = np.flatnonzero(bits.T.ravel())  # column-major, bases in order
-    src0 = flat >> 2
-    codes = (flat & 3).astype(np.int64) + 1
-    dest = np.empty(len(flat), dtype=np.int64)
-    for ci, ch in enumerate(BASES):
-        mask = codes == ci + 1
-        cnt = int(mask.sum())
-        dest[mask] = index.counts[ch] + 1 + np.arange(cnt)
-    sizes = bits.sum(axis=0).astype(np.int64)
-    boundaries = np.zeros(n + len(flat), dtype=bool)
-    starts = np.arange(n) + np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    boundaries[starts] = True
-    return ConcatRep(
-        width=1,
-        n=n,
-        labels=codes,
-        boundaries=boundaries,
-        src=src0 + 1,
-        dest=dest,
-    )
 
 
 def save_index(index: SbwtIndex, sink) -> None:

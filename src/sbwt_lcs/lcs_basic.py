@@ -1,30 +1,19 @@
 """Round-based LCS construction and spectrum decoding, O(nk) time.
 
 Each round reconstructs one more character of every k-mer, back to front,
-by pushing the current label of each column into its LF destination block.
-A position's LCS value is the round at which its label first differs from
-its left neighbour's.
+by moving every column's label to its LF successor: one gather through the
+index's predecessor array. A position's LCS value is the round at which
+its label first differs from its left neighbour's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .alphabet import DOLLAR_CODE, decode
-from .index import SbwtIndex
+from .alphabet import decode
+from .index import FormatError, SbwtIndex
 from .oracle import SortedSpectrum
 from .stats import BuildStats
-
-
-@dataclass
-class PropagationState:
-    """Mutable label-propagation state: current labels plus a scratch buffer."""
-
-    labels: np.ndarray
-    scratch: np.ndarray
-    rounds_done: int = 0
 
 
 def initial_labels(index: SbwtIndex) -> np.ndarray:
@@ -33,27 +22,9 @@ def initial_labels(index: SbwtIndex) -> np.ndarray:
     return np.repeat(np.arange(5, dtype=np.uint8), sizes)
 
 
-def start_state(index: SbwtIndex) -> PropagationState:
-    return PropagationState(
-        labels=initial_labels(index),
-        scratch=np.empty(index.n, dtype=np.uint8),
-    )
-
-
-def propagate_round(state: PropagationState, index: SbwtIndex) -> PropagationState:
-    """Advance labels one character away from the k-mer end, in place.
-
-    Equivalent to scanning the matrix column by column and dropping each
-    set bit's label into the next free slot of its base's block; the block
-    fills are contiguous, so they vectorize to one gather per base.
-    """
-    state.scratch[:] = DOLLAR_CODE
-    for c in range(4):
-        start, stop = index.lf_slices[c]
-        state.scratch[start:stop] = state.labels[index.char_columns[c]]
-    state.labels, state.scratch = state.scratch, state.labels
-    state.rounds_done += 1
-    return state
+def propagate_round(labels: np.ndarray, index: SbwtIndex) -> np.ndarray:
+    """Labels one character further from the k-mer end; the root keeps $."""
+    return labels[index.pred]
 
 
 def stamp_mismatches(
@@ -70,31 +41,50 @@ def lcs_basic(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
     """LCS array via k propagation rounds over the matrix.
 
     Entry i-1 of the result holds the value for rank i; rank 1 is 0 by
-    definition. Mismatches are checked at the start of each round, so a
-    position first differing at round r receives value r and is frozen.
+    definition. Round r compares the characters at offset r from the end,
+    so a position first differing there receives value r and is frozen.
+    Raises FormatError if a slot is still open after k rounds, which means
+    the index holds two equal k-mers and is not a subset matrix.
     """
     n = index.n
-    state = start_state(index)
+    labels = initial_labels(index)
     lcs = np.zeros(n, dtype=np.int32)
     open_slots = np.ones(n, dtype=bool)
     open_slots[0] = False
-    for rnd in range(index.k):
-        stamp_mismatches(state.labels, open_slots, lcs, rnd)
-        propagate_round(state, index)
+    stamp_mismatches(labels, open_slots, lcs, 0)
+    for rnd in range(1, index.k):
+        labels = propagate_round(labels, index)
+        stamp_mismatches(labels, open_slots, lcs, rnd)
+    still_open = int(np.count_nonzero(open_slots))
+    if still_open:
+        raise FormatError(
+            f"inconsistent index: {still_open} LCS slots still open after k={index.k} rounds"
+        )
     if stats is not None:
-        stats.rounds = state.rounds_done
-        stats.lcs_writes = n - int(open_slots.sum())
+        stats.rounds = index.k
+        stats.lcs_writes = n
     return lcs
 
 
 def decode_spectrum(index: SbwtIndex) -> SortedSpectrum:
-    """Recover the full sorted spectrum; inverse of build_index."""
+    """Recover the full sorted spectrum; inverse of build_index.
+
+    Raises FormatError if the decoded k-mers are not strictly increasing in
+    colex order, which no subset matrix can produce. pred ascends within
+    each base's block, so the decoded order never falls; it fails to rise
+    only where two neighbours are equal.
+    """
     n, k = index.n, index.k
     chars = np.empty((k, n), dtype=np.uint8)
-    state = start_state(index)
-    chars[k - 1] = state.labels  # row j holds the char at offset k-1-j from the end
-    for j in range(k - 2, -1, -1):
-        propagate_round(state, index)
-        chars[j] = state.labels
-    columns = np.ascontiguousarray(chars.T)
+    chars[0] = initial_labels(index)  # row j holds the char at offset j from the end
+    for j in range(1, k):
+        chars[j] = propagate_round(chars[j - 1], index)
+    equal = np.flatnonzero((chars[:, 1:] == chars[:, :-1]).all(axis=0))
+    if len(equal):
+        r = int(equal[0]) + 1
+        raise FormatError(
+            f"inconsistent index: ranks {r} and {r + 1} decode to the same k-mer, "
+            "so the k-mers are not strictly colex-increasing"
+        )
+    columns = np.ascontiguousarray(chars[::-1].T)
     return SortedSpectrum(k, tuple(decode(columns[i]) for i in range(n)))

@@ -26,8 +26,6 @@ WORKED_MATRIX_ROWS = {
     "T": "000000000010010000",
 }
 
-WORKED_CONCAT_B = "10101011010101010010100101010011110"
-
 
 @pytest.fixture(scope="session")
 def worked_spectrum():

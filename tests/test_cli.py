@@ -106,9 +106,9 @@ class TestBuild:
     def test_unreadable_input_exits_2(self, tmp_path):
         assert main(["build", str(tmp_path / "no.fa"), "-k", "4", "-o", str(tmp_path / "x")]) == 2
 
-    def test_bad_k_exits_1(self, worked_fasta, tmp_path):
-        assert main(["build", worked_fasta, "-k", "0", "-o", str(tmp_path / "x")]) == 1
-        assert main(["build", worked_fasta, "-k", "5000", "-o", str(tmp_path / "x")]) == 1
+    def test_bad_k_exits_1(self, worked_fasta, tmp_path, capsys):
+        assert_usage_error(["build", worked_fasta, "-k", "0", "-o", str(tmp_path / "x")], capsys)
+        assert_usage_error(["build", worked_fasta, "-k", "5000", "-o", str(tmp_path / "x")], capsys)
 
     def test_headerless_data_exits_2(self, tmp_path):
         fa = tmp_path / "raw.fa"
@@ -307,6 +307,13 @@ class TestQuery:
         assert main(["query", index, lcs, "lookup", "A"]) == 2
         captured = capsys.readouterr()
         assert captured.out == "" and "ranks 2..3" in captured.err
+        # ranks 2 and 3 hold the same k-mer A
+        assert main(["lcs", index, "-o", str(tmp_path / "out.lcs")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "still open" in captured.err
+        assert main(["dump", index]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "colex-increasing" in captured.err
 
     def test_malformed_kmer_exits_1(self, worked_files):
         index, lcs = worked_files
@@ -336,8 +343,7 @@ class TestVerify:
 
     @pytest.mark.parametrize("k", ["0", "-1", "5000"])
     def test_random_mode_bad_k_exits_1(self, k, capsys):
-        assert main(["verify", "--random", "-k", k, "--trials", "1"]) == 1
-        assert "Traceback" not in capsys.readouterr().err
+        assert_usage_error(["verify", "--random", "-k", k, "--trials", "1"], capsys)
 
     def test_corrupted_path_exits_3(self, worked_fasta, monkeypatch, capsys):
         def corrupted(index, c=2, stats=None):

@@ -16,13 +16,12 @@ from sbwt_lcs import (
     extended_spectrum,
     load_index,
     save_index,
-    to_concat,
 )
-from sbwt_lcs.alphabet import BASES, SYMBOLS
+from sbwt_lcs.alphabet import BASES
 from sbwt_lcs.index import MAGIC, Bitvector, ColexInterval, SbwtIndex
 from sbwt_lcs.lcs_basic import lcs_basic
 
-from conftest import WORKED_CONCAT_B, WORKED_MATRIX_ROWS, random_instance, suffix_intervals
+from conftest import WORKED_MATRIX_ROWS, random_instance, suffix_intervals
 
 
 def bitvector(bits):
@@ -98,16 +97,47 @@ class TestConstructor:
         with pytest.raises(ValueError):
             SbwtIndex(k, n, np.zeros(shape, dtype=np.uint8))
 
-    def test_char_columns_built_on_first_use(self, worked_index):
+    def test_pred_built_on_first_use(self, worked_spectrum, worked_index):
         buf = io.BytesIO()
         save_index(worked_index, buf)
         buf.seek(0)
         index = load_index(buf)
-        assert "char_columns" not in vars(index)
+        assert "pred" not in vars(index)
         lcs_basic(index)
-        for base, expected in WORKED_MATRIX_ROWS.items():
-            got = index.char_columns[BASES.index(base)]
-            assert got.tolist() == [i for i, bit in enumerate(expected) if bit == "1"]
+        assert "pred" in vars(index)
+        assert index.pred.tolist() == oracle_pred(worked_spectrum)
+
+
+def oracle_pred(spectrum):
+    """0-based pred from the strings: for each non-root k-mer, the first rank
+    whose (k-1)-suffix equals the k-mer's (k-1)-prefix; the root maps to 0."""
+    first_with_suffix = {}
+    for i, x in enumerate(spectrum.kmers):
+        first_with_suffix.setdefault(x[1:], i)
+    return [0] + [first_with_suffix[x[:-1]] for x in spectrum.kmers[1:]]
+
+
+class TestPred:
+    def test_worked_example(self, worked_spectrum, worked_index):
+        assert worked_index.pred.tolist() == oracle_pred(worked_spectrum)
+
+    def test_one_column(self, one_column_index):
+        assert one_column_index.pred.tolist() == [0]
+
+    def test_padded_fixture(self, tiny_spectrum):
+        assert build_index(tiny_spectrum).pred.tolist() == [0, 0, 1]
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_with_padded_rows(self, seed):
+        rng = Random(300 + seed)
+        k = rng.randint(5, 12)
+        strings = [
+            "".join(rng.choice("ACGT") for _ in range(rng.randint(k, 60)))
+            for _ in range(rng.randint(2, 6))
+        ]
+        spectrum = extended_spectrum(strings, k)
+        assert any(x[0] == "$" for x in spectrum.kmers[1:])
+        assert build_index(spectrum).pred.tolist() == oracle_pred(spectrum)
 
 
 class TestCharRank:
@@ -187,33 +217,6 @@ class TestIntervalSemantics:
             covered = sum(size(base + suffix) for base in BASES)
             assert covered <= hi - lo + 1
             assert covered + size("$" + suffix) == hi - lo + 1
-
-
-class TestConcatRep:
-    def test_worked_boundary_bits(self, worked_index):
-        assert to_concat(worked_index).boundary_string() == WORKED_CONCAT_B
-
-    def test_worked_labels(self, worked_index):
-        rep = to_concat(worked_index)
-        assert "".join(SYMBOLS[c] for c in rep.labels) == "ACGAAGAAGAGTGGATA"
-
-    def test_one_column(self, one_column_index):
-        rep = to_concat(one_column_index)
-        assert len(rep.labels) == 0
-        assert rep.boundary_string() == "1"
-
-    def test_decode_reproduces_matrix(self, worked_index):
-        rep = to_concat(worked_index)
-        groups = rep.groups()
-        assert len(groups) == worked_index.n
-        for rank, group in enumerate(groups, start=1):
-            assert "".join(SYMBOLS[c] for c in group) == worked_index.subset_at(rank)
-
-    def test_ones_and_zeros_counts(self, worked_index):
-        rep = to_concat(worked_index)
-        b = rep.boundaries
-        assert int(b.sum()) == worked_index.n
-        assert len(b) - int(b.sum()) == len(rep.labels) == worked_index.n - 1
 
 
 class TestPersistence:

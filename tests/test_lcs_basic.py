@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from sbwt_lcs import (
+    FormatError,
+    SbwtIndex,
     build_index,
     decode_spectrum,
     extended_spectrum,
@@ -15,7 +17,6 @@ from sbwt_lcs import (
     propagate_round,
 )
 from sbwt_lcs.alphabet import decode
-from sbwt_lcs.lcs_basic import start_state
 from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, random_instance
@@ -43,23 +44,23 @@ class TestInitialLabels:
 
 class TestPropagateRound:
     def test_one_round_gives_second_to_last(self, worked_spectrum, worked_index):
-        state = propagate_round(start_state(worked_index), worked_index)
+        labels = propagate_round(initial_labels(worked_index), worked_index)
         expected = "".join(x[-2] for x in worked_spectrum.kmers)
-        assert labels_str(state.labels) == expected
+        assert labels_str(labels) == expected
 
     def test_one_column_fixed_point(self, one_column_index):
-        state = start_state(one_column_index)
+        labels = initial_labels(one_column_index)
         for _ in range(3):
-            propagate_round(state, one_column_index)
-            assert labels_str(state.labels) == "$"
+            labels = propagate_round(labels, one_column_index)
+            assert labels_str(labels) == "$"
 
     def test_k_rounds_exhaust_padded_kmers(self, worked_spectrum, worked_index):
         # ranks whose back-walk reaches the root within k steps are the
         # $-padded k-mers; their labels are $ once exhausted and stay $
-        state = start_state(worked_index)
+        labels = initial_labels(worked_index)
         for _ in range(worked_index.k):
-            propagate_round(state, worked_index)
-        labels = labels_str(state.labels)
+            labels = propagate_round(labels, worked_index)
+        labels = labels_str(labels)
         for kmer, label in zip(worked_spectrum.kmers, labels):
             if "$" in kmer:
                 assert label == "$"
@@ -69,11 +70,11 @@ class TestPropagateRound:
         strings, k = random_instance(rng, k=6)
         spectrum = extended_spectrum(strings, k)
         index = build_index(spectrum)
-        state = start_state(index)
+        labels = initial_labels(index)
         for offset in range(1, k):
-            propagate_round(state, index)
+            labels = propagate_round(labels, index)
             expected = "".join(x[k - 1 - offset] for x in spectrum.kmers)
-            assert labels_str(state.labels) == expected
+            assert labels_str(labels) == expected
 
 
 class TestLcsBasic:
@@ -119,3 +120,27 @@ class TestDecodeSpectrum:
         strings, k = random_instance(rng)
         spectrum = extended_spectrum(strings, k)
         assert decode_spectrum(build_index(spectrum)).kmers == spectrum.kmers
+
+    def test_random_matrices_sorted_or_rejected(self):
+        # any matrix with n-1 set bits decodes in non-decreasing colex order;
+        # where two neighbours are equal, decoding and lcs_basic both reject it
+        rng = Random(7)
+        outcomes = set()
+        for _ in range(2000):
+            n, k = rng.randint(2, 9), rng.randint(1, 5)
+            bits = np.zeros((4, n), dtype=bool)
+            for f in rng.sample(range(4 * n), n - 1):
+                bits[f % 4, f // 4] = True
+            index = SbwtIndex(k, n, np.packbits(bits, axis=1, bitorder="little"))
+            try:
+                kmers = decode_spectrum(index).kmers
+            except FormatError:
+                with pytest.raises(FormatError):
+                    lcs_basic(index)
+                outcomes.add("rejected")
+                continue
+            keys = [x[::-1] for x in kmers]
+            assert all(a < b for a, b in zip(keys, keys[1:]))
+            lcs_basic(index)
+            outcomes.add("decoded")
+        assert outcomes == {"decoded", "rejected"}

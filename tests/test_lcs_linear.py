@@ -37,11 +37,13 @@ class TestGolden:
 
     def test_inconsistent_index_raises(self):
         # k=1, n=3, row A = 110: the bit total is right, but no extension
-        # reaches slot 3
+        # reaches slot 3, and ranks 2 and 3 decode to the same k-mer A
         rows = np.zeros((4, 1), dtype=np.uint8)
         rows[0, 0] = 0b011
         with pytest.raises(FormatError, match="1 LCS slots unfilled"):
             lcs_linear(SbwtIndex(1, 3, rows))
+        with pytest.raises(FormatError, match="1 LCS slots still open"):
+            lcs_basic(SbwtIndex(1, 3, rows))
 
     def test_round1_zero_slots(self, worked_index):
         values = lcs_linear(worked_index)
