@@ -7,6 +7,8 @@ reversed k-mers, for colexicographic order) agrees with the code order.
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 DOLLAR = "$"
@@ -18,13 +20,14 @@ DOLLAR_CODE = 0
 BASE_CODES = {c: i + 1 for i, c in enumerate(BASES)}
 
 _CODE_TO_ASCII = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8).copy()
+_NOT_A_BASE = re.compile("[^ACGT]")
 
 
 def check_bases(s: str, what: str = "string") -> None:
     """Raise ValueError unless every symbol of s is one of ACGT."""
-    for ch in s:
-        if ch not in BASE_CODES:
-            raise ValueError(f"invalid symbol {ch!r} in {what}: expected one of ACGT")
+    bad = _NOT_A_BASE.search(s)
+    if bad:
+        raise ValueError(f"invalid symbol {bad.group()!r} in {what}: expected one of ACGT")
 
 
 def decode(codes: np.ndarray) -> str:

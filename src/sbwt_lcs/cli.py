@@ -17,6 +17,7 @@ from random import Random
 import numpy as np
 
 from .index import (
+    MAX_K,
     ColexInterval,
     FormatError,
     SbwtIndex,
@@ -36,8 +37,6 @@ EXIT_USAGE = 1
 EXIT_IO = 2
 EXIT_VERIFY = 3
 
-MAX_K = 4096
-
 LCS_MAGIC = b"LCSARR01"
 _LCS_HEADER = struct.Struct("<8sQB")
 
@@ -47,6 +46,7 @@ AUTO_BASIC_MAX_K = 63
 
 _RC = str.maketrans("ACGT", "TGCA")
 _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")
+_LINE_SPACE = " \t\n\r\v\f"  # ASCII only: str.strip() also drops 0x85 and 0xA0
 
 
 # ---------------------------------------------------------------------------
@@ -54,13 +54,17 @@ _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")
 
 
 def read_fasta(path: str) -> list[tuple[str, str]]:
-    """FASTA records as (header, uppercased sequence), in file order."""
+    """FASTA records as (header, uppercased sequence), in file order.
+
+    Read as latin-1, so every byte is one symbol. Only ASCII whitespace is
+    stripped from line ends: any other non-ACGT byte, UTF-8 or not, splits.
+    """
     records: list[tuple[str, str]] = []
     header = None
     chunks: list[str] = []
-    with open(path) as fh:
+    with open(path, encoding="latin-1") as fh:
         for line in fh:
-            line = line.strip()
+            line = line.strip(_LINE_SPACE)
             if not line:
                 continue
             if line.startswith(">"):
@@ -161,7 +165,7 @@ def _verify_one(pieces: list[str], k: int, label: str) -> int:
     spectrum = extended_spectrum(pieces, k)
     index = build_index(spectrum)
     if packed_index(pieces, k) != index:
-        print(f"mismatch in {label}: the index built from packed keys differs", file=sys.stderr)
+        print(f"mismatch in {label}: build differs from naive_subset_sequence", file=sys.stderr)
         return EXIT_VERIFY
     arrays = [
         ("naive", naive_lcs(spectrum)),

@@ -19,11 +19,12 @@ from typing import BinaryIO, NamedTuple
 import numpy as np
 
 from .alphabet import BASES, BASE_CODES
-from .oracle import SortedSpectrum
-from .packed import pack_kmers, subset_rows
+from .oracle import SortedSpectrum, naive_subset_sequence
 
 MAGIC = b"SBWTLCS1"
 _HEADER = struct.Struct("<8sQQ")
+# the largest k that sbwt-lcs build writes and load_index accepts
+MAX_K = 4096
 
 # rank directory geometry: absolute counts every 8 words, word offsets below
 _SUPER_WORDS = 8
@@ -189,13 +190,19 @@ class SbwtIndex:
 
 
 def build_index(s: SortedSpectrum) -> SbwtIndex:
-    """Assemble the subset matrix and counts from a sorted spectrum.
+    """Reference build: the subset matrix as oracle.naive_subset_sequence
+    defines it, one bit per (base, rank).
 
-    Fails if the spectrum is not prefix-closed (some k-mer would have no
-    predecessor), since the LF mapping is then not a bijection.
+    Raises ValueError if the spectrum fails SortedSpectrum.validate, or is
+    not prefix-closed (some k-mer would have no predecessor, so fewer than
+    n-1 bits are set), since the LF mapping is then not a bijection.
     """
-    ps = pack_kmers(s.kmers, s.k)
-    return SbwtIndex(ps.k, ps.n, subset_rows(ps))
+    s.validate()
+    subsets = naive_subset_sequence(s)
+    bits = np.array([[base in x for x in subsets] for base in BASES], dtype=bool)
+    if np.count_nonzero(bits) != len(s) - 1:
+        raise ValueError("spectrum is not prefix-closed")
+    return SbwtIndex(s.k, len(s), np.packbits(bits, axis=1, bitorder="little"))
 
 
 def extend_right(
@@ -245,8 +252,10 @@ def load_index(source) -> SbwtIndex:
         raise FormatError(f"bad magic {magic!r}")
     if magic != MAGIC:
         raise FormatError(f"unsupported index version {magic!r}")
-    if k < 1 or n < 1:
-        raise FormatError(f"invalid header values k={k} n={n}")
+    if not 1 <= k <= MAX_K or n < 1:
+        raise FormatError(
+            f"invalid header values k={k} n={n}: expected 1 <= k <= {MAX_K} and n >= 1"
+        )
     row_bytes = (n + 7) >> 3
     expected = _HEADER.size + 4 * row_bytes
     if len(data) < expected:

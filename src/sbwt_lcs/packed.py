@@ -10,8 +10,9 @@ because a $ packs like A but belongs to a shorter body, which sorts first
 on ties.
 
 pack_pieces builds the spectrum from cleaned input pieces without going
-through strings per k-mer; pack_kmers packs an existing string spectrum.
-subset_rows fills the 4 x n subset matrix of either by sorted search.
+through strings per k-mer, and subset_rows fills its 4 x n subset matrix
+by sorted search. Together they are the only production build (`sbwt-lcs
+build`); index.build_index is the string reference they are tested against.
 """
 
 from __future__ import annotations
@@ -21,19 +22,17 @@ from typing import Sequence
 
 import numpy as np
 
-from .alphabet import BASES, SYMBOLS
+from .alphabet import BASES
 
 _ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _TOP = np.uint64(62)
 
-# byte -> alphabet code ($=0, A=1 .. T=4); 255 marks every other byte
+# byte -> 2-bit code (A=0 .. T=3); 255 marks every other byte
 _CODES = np.full(256, 255, dtype=np.uint8)
-_CODES[np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8)] = np.arange(5, dtype=np.uint8)
+_CODES[np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)] = np.arange(4, dtype=np.uint8)
 
-# entries per step of subset_rows, and symbols per step of pack_kmers:
-# they bound the working buffers of both
+# entries per step of subset_rows: bounds its working buffers
 _CHUNK = 1 << 16
-_CHUNK_SYMBOLS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -80,14 +79,6 @@ def _rows(win: np.ndarray, ends: np.ndarray, lens, nw: int) -> np.ndarray:
     for w in range(nw):
         out[w] = win[np.maximum(ends - 32 * w, 0)] & _top_mask(np.clip(lens - 32 * w, 0, 32))
     return out
-
-
-def _pack32(sym: np.ndarray) -> np.ndarray:
-    """One word per row of at most 32 codes (0..3), the last code on top."""
-    pad = np.zeros((len(sym), 32), dtype=np.uint8)
-    pad[:, 32 - sym.shape[1] :] = sym
-    four = pad[:, 0::4] | pad[:, 1::4] << 2 | pad[:, 2::4] << 4 | pad[:, 3::4] << 6
-    return np.ascontiguousarray(four).view("<u8")[:, 0]
 
 
 def _run_starts(words: np.ndarray, lens: np.ndarray | None = None) -> np.ndarray:
@@ -179,7 +170,7 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
         raise ValueError("k must be >= 1")
     nw = _nwords(k)
     text = "".join(pieces)
-    sym = _CODES[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)] - np.uint8(1)
+    sym = _CODES[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
     bad = np.flatnonzero(sym > 3)
     if len(bad):
         raise ValueError(
@@ -224,62 +215,6 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     return PackedSpectrum(k, words, lens)
 
 
-def pack_kmers(kmers: Sequence[str], k: int) -> PackedSpectrum:
-    """Pack a string spectrum, checking that packing keeps its meaning.
-
-    Raises ValueError for a symbol outside $ACGT, a $ that is not part of
-    a left pad, more or fewer than one $-terminated k-mer, a k-mer of the
-    wrong length, or an order that is not strictly colexicographic.
-    """
-    n, nw = len(kmers), _nwords(k)
-    words = np.empty((nw, n), dtype=np.uint64)
-    lens = np.empty(n, dtype=np.int32)
-    enders = 0
-    step = max(1, _CHUNK_SYMBOLS // k)
-    for start in range(0, n, step):
-        chunk = kmers[start : start + step]
-        stop = start + len(chunk)
-        sizes = np.fromiter(map(len, chunk), dtype=np.int64, count=len(chunk))
-        bad = np.flatnonzero(sizes != k)
-        if len(bad):
-            x = chunk[bad[0]]
-            raise ValueError(f"k-mer {x!r} has length {len(x)}, expected {k}")
-        raw = "".join(chunk).encode("ascii", "replace")
-        codes = _CODES[np.frombuffer(raw, dtype=np.uint8)].reshape(len(chunk), k)
-        bad = np.flatnonzero(codes[:, -1] == 255)
-        if len(bad):
-            x = chunk[bad[0]]
-            raise ValueError(f"invalid symbol {x[-1]!r} in k-mer {x!r}")
-        enders += int(np.count_nonzero(codes[:, -1] == 0))
-        if enders > 1:
-            break
-        if codes.max() == 255:
-            row, col = np.nonzero(codes == 255)
-            x = chunk[row[0]]
-            raise ValueError(f"invalid symbol {x[col[0]]!r} in k-mer {x!r}")
-        dollar = codes == 0
-        pad = np.count_nonzero(dollar, axis=1)
-        # every $ leads, unless the row is all $
-        bad = np.flatnonzero((pad != np.argmin(dollar, axis=1)) & (pad != k))
-        if len(bad):
-            raise ValueError(f"$ must be a contiguous left pad: {chunk[bad[0]]!r}")
-        lens[start:stop] = k - pad
-        sym = np.maximum(codes, 1) - 1  # $ packs like A
-        for w in range(nw):
-            hi = k - 32 * w  # word w holds the symbols before index hi
-            words[w, start:stop] = _pack32(sym[:, max(0, hi - 32) : hi])
-    if enders != 1:
-        raise ValueError("spectrum must contain exactly one $-terminated k-mer")
-    less = lens[:-1] < lens[1:]
-    for w in range(nw - 1, -1, -1):
-        a, b = words[w, :-1], words[w, 1:]
-        less = np.where(a == b, less, a < b)
-    if not less.all():
-        i = int(np.argmin(less))
-        raise ValueError(f"not strictly colex-sorted at {kmers[i]!r} >= {kmers[i + 1]!r}")
-    return PackedSpectrum(k, words, lens)
-
-
 def subset_rows(ps: PackedSpectrum) -> np.ndarray:
     """The 4 x n subset matrix of a packed spectrum, rows in A,C,G,T order,
     each packed LSB-first into ceil(n/8) bytes as SbwtIndex takes them.
@@ -287,13 +222,11 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
     Entry j sets the bit of its last symbol at the first column whose
     (k-1)-suffix equals its (k-1)-prefix. The suffixes of colex-sorted rows
     are themselves sorted, so that column is found by search, one chunk of
-    entries at a time. Raises ValueError unless the root comes first and
-    alone, and every later row has such a column (the spectrum is
-    prefix-closed).
+    entries at a time; entry 0 is the root, which pack_pieces puts first
+    and alone. Raises ValueError unless every later row has such a column
+    (the spectrum is prefix-closed).
     """
     k, words, lens, n = ps.k, ps.words, ps.lens, ps.n
-    if lens[0] != 0 or not lens[1:].all():
-        raise ValueError("spectrum must contain exactly one $-terminated k-mer")
     suffixes = _drop_first(words, k)
     suffix_lens = np.minimum(lens, k - 1)
     rows = np.zeros((4, n), dtype=bool)

@@ -1,4 +1,5 @@
-"""The packed-key build against the string oracle, directly and through the CLI."""
+"""The packed-key build against the string reference build_index, directly
+and through the CLI, and build_index's own input checks."""
 
 import io
 import re
@@ -9,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbwt_lcs import (
-    SbwtIndex,
     SortedSpectrum,
     build_index,
     decode_spectrum,
@@ -17,15 +17,12 @@ from sbwt_lcs import (
     naive_subset_sequence,
     save_index,
 )
-from sbwt_lcs.cli import main
-from sbwt_lcs.packed import pack_kmers, pack_pieces, subset_rows
+from sbwt_lcs.cli import main, packed_index
+from sbwt_lcs.packed import pack_pieces
+
+from conftest import random_instance
 
 KS = (1, 2, 3, 31, 32, 33, 63, 64, 65, 127, 128)
-
-
-def packed_index(pieces, k):
-    ps = pack_pieces(pieces, k)
-    return SbwtIndex(k, ps.n, subset_rows(ps))
 
 
 def index_bytes(index):
@@ -79,6 +76,16 @@ def test_short_and_duplicate_pieces(k):
     check_against_oracle(pieces, k)
 
 
+def test_differential_suite_shapes():
+    # the acceptance corpus's draws (k in 1..12, 31, 33, 63), which reach
+    # only build_index there
+    rng = Random(2718)
+    for _ in range(300):
+        strings, k = random_instance(rng)
+        spectrum = extended_spectrum(strings, k)
+        assert index_bytes(packed_index(strings, k)) == index_bytes(build_index(spectrum))
+
+
 def test_only_short_pieces_give_the_root():
     index = packed_index(["ACG", "T"], 5)
     assert index.n == 1
@@ -103,6 +110,8 @@ def test_rejects_non_acgt_piece():
 
 
 class TestPackKmersChecks:
+    """build_index raises ValueError on malformed and non-prefix-closed spectra."""
+
     def test_non_prefix_closed(self):
         with pytest.raises(ValueError, match="prefix-closed"):
             build_index(SortedSpectrum(2, ("$$", "AC")))
@@ -118,7 +127,7 @@ class TestPackKmersChecks:
         [
             (("$$", "AN"), "invalid symbol 'N' in k-mer 'AN'"),
             (("$$", "NA"), "invalid symbol 'N' in k-mer 'NA'"),
-            (("$$", "A$"), "exactly one \\$-terminated"),
+            (("$$", "A$"), "contiguous left pad"),
             (("$$$", "A$A"), "contiguous left pad"),
             (("$$", "AAA"), "has length 3"),
             (("$$", "CA", "AA"), "not strictly colex-sorted"),
@@ -127,7 +136,7 @@ class TestPackKmersChecks:
     )
     def test_malformed_spectrum(self, kmers, message):
         with pytest.raises(ValueError, match=message):
-            pack_kmers(kmers, len(kmers[0]))
+            build_index(SortedSpectrum(len(kmers[0]), kmers))
 
 
 def fasta_pieces(records, add_rc):

@@ -1,5 +1,6 @@
 """End-to-end command behaviour: exit codes, formats, cross-validation."""
 
+import re
 import struct
 from random import Random
 
@@ -109,6 +110,18 @@ class TestBuild:
     def test_bad_k_exits_1(self, worked_fasta, tmp_path, capsys):
         assert_usage_error(["build", worked_fasta, "-k", "0", "-o", str(tmp_path / "x")], capsys)
         assert_usage_error(["build", worked_fasta, "-k", "5000", "-o", str(tmp_path / "x")], capsys)
+
+    def test_non_utf8_bytes_split_like_n(self, tmp_path):
+        # 0xA0 and 0x85 are whitespace to str.strip(), yet must split at a line end too
+        raw = b">r\xff\nACGTTGCA\xffACGGA\xfe\xfeTTGACCA\xa0\nGG\xffT\x85\r\nCA\n"
+        as_n = re.sub(b"[\xff\xfe\xa0\x85]", b"N", raw)
+        outputs = []
+        for name, data in (("bytes", raw), ("n", as_n)):
+            fa, out = tmp_path / f"{name}.fa", tmp_path / f"{name}.sbwt"
+            fa.write_bytes(data)
+            assert main(["build", str(fa), "-k", "3", "-o", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
 
     def test_headerless_data_exits_2(self, tmp_path):
         fa = tmp_path / "raw.fa"
@@ -253,6 +266,19 @@ class TestDump:
             capsys.readouterr()
             assert main(argv) == 2
             assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("k", [cli.MAX_K + 1, 1 << 40])
+    def test_k_above_max_exits_2(self, worked_files, tmp_path, capsys, k):
+        index, _ = worked_files
+        with open(index, "rb") as fh:
+            data = bytearray(fh.read())
+        data[8:16] = k.to_bytes(8, "little")
+        bad = tmp_path / "big-k.sbwt"
+        bad.write_bytes(bytes(data))
+        for argv in (["dump", str(bad)], ["lcs", str(bad), "-o", str(tmp_path / "x.lcs")]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert f"k={k}" in capsys.readouterr().err
 
     def test_rebuild_from_dump_is_fixed_point(self, worked_files, tmp_path, capsys):
         index, _ = worked_files

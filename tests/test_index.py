@@ -18,7 +18,7 @@ from sbwt_lcs import (
     save_index,
 )
 from sbwt_lcs.alphabet import BASES
-from sbwt_lcs.index import MAGIC, Bitvector, ColexInterval, SbwtIndex
+from sbwt_lcs.index import MAGIC, MAX_K, Bitvector, ColexInterval, SbwtIndex
 from sbwt_lcs.lcs_basic import lcs_basic
 
 from conftest import WORKED_MATRIX_ROWS, random_instance, suffix_intervals
@@ -286,6 +286,15 @@ class TestPersistence:
         data = bytearray(buf.getvalue())
         data[24 + 3 * row + 2] |= 0x80
         with pytest.raises(FormatError, match="padding"):
+            load_index(io.BytesIO(bytes(data)))
+
+    @pytest.mark.parametrize("k", [MAX_K + 1, 1 << 40])
+    def test_k_above_max(self, worked_index, k):
+        buf = io.BytesIO()
+        save_index(worked_index, buf)
+        data = bytearray(buf.getvalue())
+        data[8:16] = k.to_bytes(8, "little")
+        with pytest.raises(FormatError, match=f"k={k} n=18"):
             load_index(io.BytesIO(bytes(data)))
 
     def test_magic_constant(self):
