@@ -14,9 +14,7 @@ import numpy as np
 DOLLAR = "$"
 BASES = "ACGT"
 SYMBOLS = DOLLAR + BASES  # index in this string == numeric code
-SIGMA = len(BASES)  # the sentinel is not counted
 
-DOLLAR_CODE = 0
 BASE_CODES = {c: i + 1 for i, c in enumerate(BASES)}
 
 _CODE_TO_ASCII = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8).copy()

@@ -121,6 +121,8 @@ def load_lcs(path: str) -> np.ndarray:
     if len(data) > expected:
         raise FormatError(f"{path}: trailing data after LCS payload")
     raw = np.frombuffer(data, dtype=f"<u{width}", count=n, offset=_LCS_HEADER.size)
+    if width == 4 and raw.max(initial=0) > np.iinfo(np.int32).max:
+        raise FormatError(f"{path}: LCS value {int(raw.max())} does not fit in int32")
     return raw.astype(np.int32)
 
 

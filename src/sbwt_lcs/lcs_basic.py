@@ -1,9 +1,10 @@
 """Round-based LCS construction and spectrum decoding, O(nk) time.
 
-Each round reconstructs one more character of every k-mer, back to front,
-by moving every column's label to its LF successor: one gather through the
-index's predecessor array. A position's LCS value is the round at which
-its label first differs from its left neighbour's.
+Each round reconstructs c more characters of every k-mer, back to front,
+by one gather through the index's predecessor array composed c times. A
+position's LCS value is the offset at which its label first differs from
+its left neighbour's. The basic construction runs the rounds at width 1,
+the super-alphabet one (lcs_superalphabet) at width c.
 """
 
 from __future__ import annotations
@@ -27,42 +28,69 @@ def propagate_round(labels: np.ndarray, index: SbwtIndex) -> np.ndarray:
     return labels[index.pred]
 
 
-def stamp_mismatches(
-    labels: np.ndarray, open_slots: np.ndarray, lcs: np.ndarray, value: int
-) -> None:
-    """Give every open slot whose label differs from its left neighbour's the
-    value, and close it."""
-    hits = np.flatnonzero(open_slots[1:] & (labels[1:] != labels[:-1])) + 1
-    lcs[hits] = value
-    open_slots[hits] = False
+def step_map(index: SbwtIndex, c: int) -> np.ndarray:
+    """pred composed c times: the column whose label reaches each column
+    after c rounds."""
+    step = index.pred
+    for _ in range(c - 1):
+        step = index.pred[step]
+    return step
 
 
-def lcs_basic(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
-    """LCS array via k propagation rounds over the matrix.
+def lcs_rounds(index: SbwtIndex, c: int) -> np.ndarray:
+    """LCS array by rounds that each read c symbols of every k-mer.
 
-    Entry i-1 of the result holds the value for rank i; rank 1 is 0 by
-    definition. Round r compares the characters at offset r from the end,
-    so a position first differing there receives value r and is frozen.
-    Raises FormatError if a slot is still open after k rounds, which means
-    the index holds two equal k-mers and is not a subset matrix.
+    Entry i-1 holds the value for rank i; rank 1 is 0 by definition.
+    Round r packs the symbols at offsets r..r+c-1 from the k-mer end into
+    3-bit fields, offset r highest. An open slot whose label differs from
+    its left neighbour's receives r plus the index of the first differing
+    field, found from the XOR's bit length, unless that offset is k or
+    more. Raises FormatError if a slot is still open after all k offsets,
+    which means the index holds two equal k-mers.
     """
-    n = index.n
+    n, k = index.n, index.k
     labels = initial_labels(index)
+    packed = labels.astype(np.min_scalar_type(8**c - 1), copy=False)
+    for _ in range(c - 1):
+        labels = propagate_round(labels, index)
+        packed = (packed << 3) | labels
+    del labels
+    step = step_map(index, c)
+    # bit length of the XOR -> index of the first differing field, highest first
+    first_field = np.array([0] + [c - 1 - (b - 1) // 3 for b in range(1, 3 * c + 1)])
     lcs = np.zeros(n, dtype=np.int32)
     open_slots = np.ones(n, dtype=bool)
     open_slots[0] = False
-    stamp_mismatches(labels, open_slots, lcs, 0)
-    for rnd in range(1, index.k):
-        labels = propagate_round(labels, index)
-        stamp_mismatches(labels, open_slots, lcs, rnd)
+    for r in range(0, k, c):
+        if r:
+            packed = packed[step]
+        hits = np.flatnonzero(open_slots[1:] & (packed[1:] != packed[:-1])) + 1
+        if c == 1:
+            lcs[hits] = r
+        else:
+            _, bits = np.frexp(packed[hits] ^ packed[hits - 1])
+            offsets = r + first_field[bits]
+            inside = offsets < k
+            hits = hits[inside]
+            lcs[hits] = offsets[inside]
+        open_slots[hits] = False
+        del hits  # up to n entries; not kept alive through the next gather
     still_open = int(np.count_nonzero(open_slots))
     if still_open:
         raise FormatError(
-            f"inconsistent index: {still_open} LCS slots still open after k={index.k} rounds"
+            f"inconsistent index: {still_open} LCS slots still open after all k={k} symbols"
         )
+    return lcs
+
+
+def lcs_basic(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
+    """LCS array via k propagation rounds over the matrix: the round
+    kernel at width 1, where round r compares the characters at offset r
+    from the end."""
+    lcs = lcs_rounds(index, 1)
     if stats is not None:
         stats.rounds = index.k
-        stats.lcs_writes = n
+        stats.lcs_writes = index.n
     return lcs
 
 

@@ -10,13 +10,12 @@ class BuildStats:
     """Filled in by an LCS construction run when passed as an out-param.
 
     rounds is the algorithm's primary round counter: matrix scans for the
-    basic algorithm, phase-2 super-steps for the super-alphabet one, and
-    executed BFS rounds for the linear one. Counters are deterministic for
-    a given index; wall time is not tracked here.
+    basic algorithm, gathers through the c-step map for the super-alphabet
+    one, and executed BFS rounds for the linear one. Counters are
+    deterministic for a given index; wall time is not tracked here.
     """
 
     rounds: int = 0
-    phase1_rounds: int = 0
     rank_queries: int = 0
     intervals_pushed: int = 0
     lcs_writes: int = 0

@@ -267,6 +267,18 @@ class TestDump:
             assert main(argv) == 2
             assert message in capsys.readouterr().err
 
+    def test_value_beyond_int32_exits_2(self, worked_files, tmp_path, capsys):
+        # a hand-made width-4 file: 0xFFFFFFFF would load as -1 after the int32 cast
+        index, lcs = worked_files
+        values = load_lcs(lcs).astype("<u4")
+        values[5] = 0xFFFFFFFF
+        bad = tmp_path / "wide.lcs"
+        bad.write_bytes(struct.pack("<8sQB", b"LCSARR01", len(values), 4) + values.tobytes())
+        for argv in (["dump", index, str(bad)], ["query", index, str(bad), "lookup", "GTAA"]):
+            capsys.readouterr()
+            assert main(argv) == 2
+            assert "4294967295 does not fit in int32" in capsys.readouterr().err
+
     @pytest.mark.parametrize("k", [cli.MAX_K + 1, 1 << 40])
     def test_k_above_max_exits_2(self, worked_files, tmp_path, capsys, k):
         index, _ = worked_files

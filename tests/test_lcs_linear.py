@@ -16,9 +16,11 @@ from sbwt_lcs import (
     lcs_basic,
     lcs_linear,
     lcs_linear_endpoints,
+    lcs_super,
     naive_lcs,
 )
 from sbwt_lcs.lcs_linear import _claim
+from sbwt_lcs.lcs_superalphabet import MAX_WIDTH
 from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, brute_l_intervals, random_instance, suffix_intervals
@@ -44,6 +46,10 @@ class TestGolden:
             lcs_linear(SbwtIndex(1, 3, rows))
         with pytest.raises(FormatError, match="1 LCS slots still open"):
             lcs_basic(SbwtIndex(1, 3, rows))
+        # the super-alphabet rounds read offsets past k here; none may close a slot
+        for c in (2, MAX_WIDTH):
+            with pytest.raises(FormatError, match="1 LCS slots still open"):
+                lcs_super(SbwtIndex(1, 3, rows), c)
 
     def test_round1_zero_slots(self, worked_index):
         values = lcs_linear(worked_index)
