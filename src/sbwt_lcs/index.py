@@ -49,9 +49,11 @@ class Bitvector:
 
     Superblocks hold absolute counts every 512 bits; blocks hold 16-bit
     offsets per 64-bit word. rank(i) counts set bits among the first i.
+    The scalar reads of rank and test go through zero-copy memoryviews of
+    the three arrays, which yield Python ints; rank_many reads the arrays.
     """
 
-    __slots__ = ("n", "popcount", "_words", "_super", "_block")
+    __slots__ = ("n", "popcount", "_words", "_super", "_block", "_wordv", "_superv", "_blockv")
 
     def __init__(self, packed: np.ndarray, n: int):
         """packed: n bits in ceil(n/8) LSB-first bytes, padding bits clear."""
@@ -65,22 +67,25 @@ class Bitvector:
         self._super = cum[::_SUPER_WORDS].copy()
         self._block = (cum - np.repeat(self._super, _SUPER_WORDS)[: len(cum)]).astype(np.uint16)
         self.popcount = int(cum[-1])
+        self._wordv = memoryview(self._words)
+        self._superv = memoryview(self._super)
+        self._blockv = memoryview(self._block)
 
     def test(self, i: int) -> bool:
         """Value of bit i (0-based)."""
         if not 0 <= i < self.n:
             raise IndexError(f"bit index {i} out of range for length {self.n}")
-        return bool((int(self._words[i >> 6]) >> (i & 63)) & 1)
+        return bool((self._wordv[i >> 6] >> (i & 63)) & 1)
 
     def rank(self, i: int) -> int:
         """Number of set bits among bits 0..i-1; 0 <= i <= n."""
         if not 0 <= i <= self.n:
             raise IndexError(f"rank position {i} out of range for length {self.n}")
         q = i >> 6
-        r = int(self._super[q >> 3]) + int(self._block[q])
+        r = self._superv[q >> 3] + self._blockv[q]
         rem = i & 63
         if rem:
-            r += (int(self._words[q]) & ((1 << rem) - 1)).bit_count()
+            r += (self._wordv[q] & ((1 << rem) - 1)).bit_count()
         return r
 
     def rank_many(self, i: np.ndarray) -> np.ndarray:

@@ -1,8 +1,11 @@
 """Consumer queries: k-mer membership lookup and left contraction.
 
-Lookup folds right extensions over the query's symbols; membership costs
-at most k extension steps. Left contraction widens a suffix interval to a
-shorter suffix by scanning the LCS array outward from both ends.
+Lookup folds right extensions over the query's symbols, two rank queries
+per symbol; membership costs at most k steps. Left contraction widens a
+suffix interval to a shorter suffix by a galloping scan of the LCS array
+outward from both ends: past a first entry that is not below the target
+length, numpy chunks of 16, 64, 256, ... entries are compared with it
+until one holds a smaller entry.
 """
 
 from __future__ import annotations
@@ -11,8 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import check_bases
-from .index import ColexInterval, FormatError, SbwtIndex, extend_right
+from .alphabet import BASES, check_bases
+from .index import ColexInterval, FormatError, SbwtIndex
+
+
+# query byte -> row of its base in the subset matrix (A, C, G, T = 0..3)
+_ROW_OF = bytes.maketrans(BASES.encode(), bytes(range(4)))
 
 
 @dataclass(frozen=True)
@@ -26,21 +33,28 @@ class SuffixInterval:
 def lookup(index: SbwtIndex, kmer: str) -> int | None:
     """Colex rank of the k-mer in the spectrum, or None if absent.
 
+    Each step is extend_right without its argument checks: the interval of
+    the suffix read so far is ranks lo+1..hi, and it stays inside 1..n.
     Raises FormatError if the k-mer's interval is not a single rank, which
     only an inconsistent index can give.
     """
     if len(kmer) != index.k:
         raise ValueError(f"query length {len(kmer)} != k={index.k}")
     check_bases(kmer, "query k-mer")
-    lo, hi = 1, index.n
-    for ch in kmer:
-        found = extend_right(index, lo, hi, ch)
-        if found is None:
+    rows, counts = index.matrix.rows, index.counts.values
+    lo, hi = 0, index.n
+    for c in kmer.encode().translate(_ROW_OF):
+        rank, before = rows[c].rank, counts[c]
+        lo, hi = before + rank(lo), before + rank(hi)
+        if lo == hi:
             return None
-        lo, hi = found
-    if lo != hi:
-        raise FormatError(f"inconsistent index: k-mer {kmer} spans ranks {lo}..{hi}")
-    return lo
+    if hi - lo != 1:
+        raise FormatError(f"inconsistent index: k-mer {kmer} spans ranks {lo + 1}..{hi}")
+    return hi
+
+
+# first chunk of the galloping scan; each next chunk is four times longer
+_FIRST_CHUNK = 16
 
 
 def left_contract(lcs: np.ndarray, s: SuffixInterval, t: int) -> SuffixInterval:
@@ -58,8 +72,24 @@ def left_contract(lcs: np.ndarray, s: SuffixInterval, t: int) -> SuffixInterval:
     lo, hi = s.interval
     if not 1 <= lo <= hi <= n:
         raise ValueError(f"invalid interval [{lo}, {hi}] for n={n}")
+    # hi becomes the first position >= hi holding an entry < m, else n; the
+    # one-entry test ahead of each chunk ends most calls without numpy
+    size = _FIRST_CHUNK
     while hi < n and lcs[hi] >= m:
-        hi += 1
+        hits = np.flatnonzero(lcs[hi : hi + size] < m)
+        if len(hits):
+            hi += int(hits[0])
+            break
+        hi = min(hi + size, n)
+        size *= 4
+    # lo - 1 becomes the last position in 1..lo-1 holding an entry < m, else 0
+    size = _FIRST_CHUNK
     while lo > 1 and lcs[lo - 1] >= m:
-        lo -= 1
+        start = max(lo - size, 1)
+        hits = np.flatnonzero(lcs[start : lo] < m)
+        if len(hits):
+            lo = start + int(hits[-1]) + 1
+            break
+        lo = start
+        size *= 4
     return SuffixInterval(ColexInterval(int(lo), int(hi)), m)

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 from random import Random
 
+import numpy as np
 import pytest
 
-from sbwt_lcs import SortedSpectrum, build_index, extended_spectrum
+from sbwt_lcs import SbwtIndex, SortedSpectrum, build_index, extended_spectrum
 
 WORKED_STRINGS = ["AGGTAAA", "ACAGGTAGGAAAGGAAAGT"]
 
@@ -57,6 +58,19 @@ def random_instance(rng: Random, k: int | None = None):
         for _ in range(rng.randint(1, 10))
     ]
     return strings, k
+
+
+def moved_bit_index(index: SbwtIndex, rng: Random) -> SbwtIndex:
+    """The index with one set bit of its matrix moved to a clear position.
+
+    The matrix keeps n-1 set bits, so SbwtIndex accepts it, but its LF
+    mapping is in general no longer that of any spectrum."""
+    bits = np.array([bv.to_bool() for bv in index.matrix.rows])
+    ones, zeros = np.argwhere(bits), np.argwhere(~bits)
+    if len(ones) and len(zeros):
+        bits[tuple(ones[rng.randrange(len(ones))])] = False
+        bits[tuple(zeros[rng.randrange(len(zeros))])] = True
+    return SbwtIndex(index.k, index.n, np.packbits(bits, axis=1, bitorder="little"))
 
 
 def suffix_intervals(spectrum: SortedSpectrum) -> dict[str, tuple[int, int]]:

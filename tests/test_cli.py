@@ -9,6 +9,7 @@ import pytest
 
 from sbwt_lcs import (
     SbwtIndex,
+    build_index,
     cli,
     extended_spectrum,
     lcs_linear,
@@ -19,7 +20,7 @@ from sbwt_lcs import (
 )
 from sbwt_lcs.cli import load_lcs, main
 
-from conftest import WORKED_LCS
+from conftest import WORKED_LCS, moved_bit_index
 
 
 @pytest.fixture
@@ -322,6 +323,35 @@ class TestQuery:
         assert capsys.readouterr().out == "11\t13\t2\n"
         assert main(args + ["--point", "3"]) == 0
         assert capsys.readouterr().out == "11\t16\t1\n"
+
+    def test_contract_at_last_rank(self, worked_files, capsys):
+        # n = 18, k = 4: the last rank contracted to its last symbol T, whose
+        # run reaches the end of the LCS array
+        index, lcs = worked_files
+        capsys.readouterr()
+        args = ["--interval", "18,18", "--suffix-len", "4", "--point", "4"]
+        assert main(["query", index, lcs, "contract", *args]) == 0
+        assert capsys.readouterr().out == "17\t18\t1\n"
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_moved_bit_exits_0_or_2(self, tmp_path, capsys, seed):
+        # a matrix with one set bit moved keeps n-1 set bits and loads; every
+        # command ends in exit 0 or 2, never in a traceback
+        rng = Random(seed)
+        text = "".join(rng.choice("ACGT") for _ in range(300))
+        good = extended_spectrum([text], 7)
+        index, lcs = str(tmp_path / "m.sbwt"), str(tmp_path / "m.lcs")
+        save_index(moved_bit_index(build_index(good), rng), index)
+        cli.save_lcs(naive_lcs(good), 7, lcs)
+        kmers = [text[i : i + 7] for i in range(0, 294, 7)]
+        for argv in (
+            ["lcs", index, "-o", str(tmp_path / "out.lcs")],
+            ["dump", index, lcs],
+            ["query", index, lcs, "lookup", *kmers],
+            ["query", index, lcs, "contract", "--interval", "5,5", "--suffix-len", "7", "--point", "7"],
+        ):
+            assert main(argv) in (0, 2), argv
+        capsys.readouterr()
 
     @pytest.mark.parametrize("suffix_len", ["40", "0"])
     def test_suffix_len_outside_1_to_k_exits_1(self, random_fasta, tmp_path, capsys, suffix_len):

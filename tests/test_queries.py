@@ -5,6 +5,8 @@ from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbwt_lcs import (
     ColexInterval,
@@ -12,6 +14,7 @@ from sbwt_lcs import (
     SbwtIndex,
     SuffixInterval,
     build_index,
+    extend_right,
     extended_spectrum,
     lcs_basic,
     left_contract,
@@ -19,7 +22,44 @@ from sbwt_lcs import (
     naive_lcs,
 )
 
-from conftest import random_instance, suffix_intervals
+from conftest import moved_bit_index, random_instance, suffix_intervals
+
+
+def lookup_by_extension(index, kmer):
+    """Reference lookup: fold extend_right over the k-mer."""
+    lo, hi = 1, index.n
+    for ch in kmer:
+        found = extend_right(index, lo, hi, ch)
+        if found is None:
+            return None
+        lo, hi = found
+    if lo != hi:
+        raise FormatError(f"k-mer {kmer} spans ranks {lo}..{hi}")
+    return lo
+
+
+def outcome(fn, *args):
+    """A call's result, or the type of the FormatError it raised."""
+    try:
+        return fn(*args)
+    except FormatError:
+        return FormatError
+
+
+def contract_one_by_one(lcs, s, t):
+    """Reference contraction: widen the interval one LCS entry at a time."""
+    m = s.suffix_len - t + 1
+    lo, hi = s.interval
+    while hi < len(lcs) and lcs[hi] >= m:
+        hi += 1
+    while lo > 1 and lcs[lo - 1] >= m:
+        lo -= 1
+    return SuffixInterval(ColexInterval(lo, hi), m)
+
+
+# run lengths at powers of 4 and at the galloping scan's chunk ends (16, 80, 336, 1360)
+RUN_LENGTHS = [0, 1, 15, 16, 17, 63, 64, 65, 79, 80, 81, 255, 256, 257, 335, 336, 337]
+RUN_LENGTHS += [1023, 1024, 1025, 1359, 1360, 1361]
 
 
 class TestLookup:
@@ -119,3 +159,109 @@ class TestLeftContract:
                 if prev is not None:
                     assert got.interval.lo <= prev.lo and got.interval.hi >= prev.hi
                 prev = got.interval
+
+
+class TestLookupAgainstExtension:
+    """lookup against the extend_right fold, on sound and corrupt indexes."""
+
+    @staticmethod
+    def queries(spectrum, rng):
+        """Every k-mer of the spectrum and 60 random ones."""
+        present = [x for x in spectrum.kmers if "$" not in x]
+        made = ["".join(rng.choice("ACGT") for _ in range(spectrum.k)) for _ in range(60)]
+        return present + made
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_instances(self, seed):
+        rng = Random(400 + seed)
+        strings, k = random_instance(rng)
+        spectrum = extended_spectrum(strings, k)
+        index = build_index(spectrum)
+        ranks = {x: i + 1 for i, x in enumerate(spectrum.kmers)}
+        for q in self.queries(spectrum, rng):
+            assert lookup(index, q) == lookup_by_extension(index, q) == ranks.get(q)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_moved_bit(self, seed):
+        rng = Random(500 + seed)
+        strings, k = random_instance(rng, k=rng.randint(1, 7))
+        spectrum = extended_spectrum(strings, k)
+        index = moved_bit_index(build_index(spectrum), rng)
+        for q in self.queries(spectrum, rng):
+            assert outcome(lookup, index, q) == outcome(lookup_by_extension, index, q), q
+
+
+@st.composite
+def contraction_cases(draw):
+    """An LCS array built around a chosen run, with the call that finds it.
+
+    The input interval [lo, hi] sits inside a run of entries >= m that
+    reaches `left` entries below lo and `right` entries above hi; an entry
+    < m or an end of the array bounds it on each side.
+    """
+    k = draw(st.integers(1, 6))
+    m = draw(st.integers(1, k))
+    left, right = draw(st.sampled_from(RUN_LENGTHS)), draw(st.sampled_from(RUN_LENGTHS))
+    pad_left, pad_right = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    width = draw(st.integers(0, 3))
+    lo = 1 + pad_left + left
+    hi = lo + width
+    n = hi + right + pad_right
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lcs = rng.integers(0, k + 1, size=n).astype(np.int32)
+    lcs[lo - left : lo] = rng.integers(m, k + 1, size=left)
+    lcs[hi : hi + right] = rng.integers(m, k + 1, size=right)
+    if pad_left:
+        lcs[pad_left] = rng.integers(0, m)
+    if pad_right:
+        lcs[hi + right] = rng.integers(0, m)
+    call = (SuffixInterval(ColexInterval(lo, hi), k), k - m + 1)
+    return lcs, call, (lo - left, hi + right)
+
+
+class TestGallopingContraction:
+    """left_contract against the one-entry-per-iteration scan."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(contraction_cases())
+    def test_matches_one_by_one(self, case):
+        lcs, (s, t), (lo, hi) = case
+        got = left_contract(lcs, s, t)
+        assert got == contract_one_by_one(lcs, s, t)
+        assert (got.interval.lo, got.interval.hi) == (lo, hi)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.integers(0, 3), min_size=1, max_size=1500),
+        st.data(),
+    )
+    def test_random_arrays(self, values, data):
+        lcs = np.array(values, dtype=np.int32)
+        n = len(lcs)
+        lo = data.draw(st.integers(1, n))
+        hi = data.draw(st.integers(lo, n))
+        kprime = data.draw(st.integers(1, 5))
+        t = data.draw(st.integers(1, kprime))
+        s = SuffixInterval(ColexInterval(lo, hi), kprime)
+        assert left_contract(lcs, s, t) == contract_one_by_one(lcs, s, t)
+
+    @pytest.mark.parametrize("n", [1, 2, 15, 16, 17, 1024, 1025, 5000])
+    def test_run_is_whole_array(self, n):
+        lcs = np.full(n, 2, dtype=np.int32)
+        lcs[0] = 0
+        for lo, hi in ((1, 1), (n, n), (1, n), ((n + 1) // 2, (n + 1) // 2)):
+            got = left_contract(lcs, SuffixInterval(ColexInterval(lo, hi), 3), 3)
+            assert got == SuffixInterval(ColexInterval(1, n), 1)
+
+    @pytest.mark.parametrize("n", [1, 17, 1025])
+    def test_m_above_every_entry(self, n):
+        lcs = np.arange(n, dtype=np.int32) % 4
+        for lo, hi in ((1, 1), (n, n), (1, n)):
+            s = SuffixInterval(ColexInterval(lo, hi), 5)
+            assert left_contract(lcs, s, 1) == SuffixInterval(ColexInterval(lo, hi), 5)
+
+    def test_invalid_interval(self):
+        lcs = np.zeros(4, dtype=np.int32)
+        for lo, hi in ((0, 1), (3, 2), (1, 5)):
+            with pytest.raises(ValueError, match="invalid interval"):
+                left_contract(lcs, SuffixInterval(ColexInterval(lo, hi), 2), 1)
