@@ -2,7 +2,6 @@
 
 from .index import (
     ColexInterval,
-    CumulativeCounts,
     FormatError,
     SbwtIndex,
     SubsetMatrix,
@@ -11,7 +10,7 @@ from .index import (
     load_index,
     save_index,
 )
-from .lcs_basic import decode_spectrum, initial_labels, lcs_basic, propagate_round
+from .lcs_basic import decode_spectrum, initial_labels, lcs_basic
 from .lcs_linear import lcs_linear, lcs_linear_endpoints
 from .lcs_superalphabet import lcs_super
 from .oracle import (
@@ -32,7 +31,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BuildStats",
     "ColexInterval",
-    "CumulativeCounts",
     "FormatError",
     "SbwtIndex",
     "SortedSpectrum",
@@ -55,7 +53,6 @@ __all__ = [
     "lookup",
     "naive_lcs",
     "naive_subset_sequence",
-    "propagate_round",
     "save_index",
     "source_set",
 ]

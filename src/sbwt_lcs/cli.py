@@ -89,6 +89,15 @@ def clean_pieces(sequences: list[str], add_rc: bool) -> list[str]:
     return pieces
 
 
+def read_pieces(path: str, k: int, add_rc: bool) -> list[str]:
+    """The cleaned pieces of a FASTA file; raises FormatError if none holds
+    a k-mer."""
+    pieces = clean_pieces([seq for _, seq in read_fasta(path)], add_rc)
+    if not any(len(p) >= k for p in pieces):
+        raise FormatError(f"no {k}-mers extracted from {path}")
+    return pieces
+
+
 def lcs_value_width(k: int) -> int:
     """Smallest of 1, 2, 4 bytes that holds k-1."""
     if k - 1 <= 0xFF:
@@ -137,12 +146,7 @@ def packed_index(pieces: list[str], k: int) -> SbwtIndex:
 
 
 def cmd_build(args) -> int:
-    records = read_fasta(args.input)
-    pieces = clean_pieces([seq for _, seq in records], args.add_rc)
-    if not any(len(p) >= args.k for p in pieces):
-        print(f"error: no {args.k}-mers extracted from {args.input}", file=sys.stderr)
-        return EXIT_IO
-    index = packed_index(pieces, args.k)
+    index = packed_index(read_pieces(args.input, args.k, args.add_rc), args.k)
     save_index(index, args.output)
     print(f"n={index.n} k={index.k}")
     return EXIT_OK
@@ -207,9 +211,7 @@ def cmd_verify(args) -> int:
     if not args.input or not args.k:
         print("error: verify needs an input file and -k, or --random", file=sys.stderr)
         return EXIT_USAGE
-    records = read_fasta(args.input)
-    pieces = clean_pieces([seq for _, seq in records], False)
-    code = _verify_one(pieces, args.k, args.input)
+    code = _verify_one(read_pieces(args.input, args.k, False), args.k, args.input)
     if code == EXIT_OK:
         print("verified")
     return code
@@ -247,38 +249,35 @@ def cmd_dump(args) -> int:
     return EXIT_OK
 
 
+def parse_interval(text: str) -> ColexInterval:
+    """The interval "lo,hi"; raises ValueError naming the text if malformed."""
+    try:
+        lo, hi = (int(x) for x in text.split(","))
+    except ValueError:
+        raise ValueError(f"malformed interval {text!r}") from None
+    return ColexInterval(lo, hi)
+
+
 def cmd_query(args) -> int:
     index = load_index(args.index)
     values = load_lcs(args.lcs)
     check_lcs_pair(index, values, args.index, args.lcs)
-    if args.action == "lookup":
-        for kmer in args.kmers:
-            try:
+    try:
+        if args.action == "lookup":
+            for kmer in args.kmers:
                 rank = lookup(index, kmer)
-            except FormatError:
-                raise
-            except ValueError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-            print(f"{kmer}\t{rank if rank is not None else 'absent'}")
-        return EXIT_OK
-    # contract
-    try:
-        lo, hi = (int(x) for x in args.interval.split(","))
-    except ValueError:
-        print(f"error: malformed interval {args.interval!r}", file=sys.stderr)
-        return EXIT_USAGE
-    if not 1 <= args.suffix_len <= index.k:
-        print(f"error: --suffix-len must be in 1..k={index.k}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        result = left_contract(
-            values, SuffixInterval(ColexInterval(lo, hi), args.suffix_len), args.point
-        )
+                print(f"{kmer}\t{rank if rank is not None else 'absent'}")
+        else:
+            interval = parse_interval(args.interval)
+            if not 1 <= args.suffix_len <= index.k:
+                raise ValueError(f"--suffix-len must be in 1..k={index.k}")
+            result = left_contract(values, SuffixInterval(interval, args.suffix_len), args.point)
+            print(f"{result.interval.lo}\t{result.interval.hi}\t{result.suffix_len}")
+    except FormatError:
+        raise
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(f"{result.interval.lo}\t{result.interval.hi}\t{result.suffix_len}")
     return EXIT_OK
 
 

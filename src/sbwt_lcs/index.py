@@ -26,9 +26,6 @@ _HEADER = struct.Struct("<8sQQ")
 # the largest k that sbwt-lcs build writes and load_index accepts
 MAX_K = 4096
 
-# rank directory geometry: absolute counts every 8 words, word offsets below
-_SUPER_WORDS = 8
-
 
 class FormatError(ValueError):
     """Raised when a serialized index or LCS file is malformed."""
@@ -45,15 +42,16 @@ class ColexInterval(NamedTuple):
 
 
 class Bitvector:
-    """Immutable bitvector with O(1) rank via a two-level directory.
+    """Immutable bitvector with O(1) rank via one table of word counts.
 
-    Superblocks hold absolute counts every 512 bits; blocks hold 16-bit
-    offsets per 64-bit word. rank(i) counts set bits among the first i.
-    The scalar reads of rank and test go through zero-copy memoryviews of
-    the three arrays, which yield Python ints; rank_many reads the arrays.
+    _cum[q] is the number of set bits in words 0..q-1, for q = 0..nwords,
+    so rank(i) is _cum[i >> 6] plus the popcount of word i >> 6 below bit
+    i & 63. At i = n with n a multiple of 64 that word is the zero pad word.
+    The scalar reads of rank and test go through zero-copy memoryviews,
+    which yield Python ints; rank_many reads the arrays.
     """
 
-    __slots__ = ("n", "popcount", "_words", "_super", "_block", "_wordv", "_superv", "_blockv")
+    __slots__ = ("n", "popcount", "_words", "_cum", "_wordv", "_cumv")
 
     def __init__(self, packed: np.ndarray, n: int):
         """packed: n bits in ceil(n/8) LSB-first bytes, padding bits clear."""
@@ -62,14 +60,11 @@ class Bitvector:
         buf = np.zeros((nwords + 1) * 8, dtype=np.uint8)  # one zero pad word
         buf[: len(packed)] = packed
         self._words = buf.view(np.uint64)
-        cum = np.zeros(len(self._words) + 1, dtype=np.uint64)
-        np.cumsum(np.bitwise_count(self._words), out=cum[1:])
-        self._super = cum[::_SUPER_WORDS].copy()
-        self._block = (cum - np.repeat(self._super, _SUPER_WORDS)[: len(cum)]).astype(np.uint16)
-        self.popcount = int(cum[-1])
+        self._cum = np.zeros(nwords + 1, dtype=np.int64)
+        np.cumsum(np.bitwise_count(self._words[:nwords]), out=self._cum[1:])
+        self.popcount = int(self._cum[-1])
         self._wordv = memoryview(self._words)
-        self._superv = memoryview(self._super)
-        self._blockv = memoryview(self._block)
+        self._cumv = memoryview(self._cum)
 
     def test(self, i: int) -> bool:
         """Value of bit i (0-based)."""
@@ -82,7 +77,7 @@ class Bitvector:
         if not 0 <= i <= self.n:
             raise IndexError(f"rank position {i} out of range for length {self.n}")
         q = i >> 6
-        r = self._superv[q >> 3] + self._blockv[q]
+        r = self._cumv[q]
         rem = i & 63
         if rem:
             r += (self._wordv[q] & ((1 << rem) - 1)).bit_count()
@@ -92,10 +87,9 @@ class Bitvector:
         """Vectorized rank over an array of positions in [0, n]."""
         i = np.asarray(i, dtype=np.int64)
         q = i >> 6
-        base = self._super[q >> 3].astype(np.int64) + self._block[q]
-        rem = (i & 63).astype(np.uint64)
+        rem = i.view(np.uint64) & np.uint64(63)
         masked = self._words[q] & ((np.uint64(1) << rem) - np.uint64(1))
-        return base + np.bitwise_count(masked).astype(np.int64)
+        return self._cum[q] + np.bitwise_count(masked)
 
     def to_bool(self) -> np.ndarray:
         raw = self._words.view(np.uint8)
@@ -115,20 +109,6 @@ class SubsetMatrix:
 
     def row(self, base: str) -> Bitvector:
         return self.rows[BASE_CODES[base] - 1]
-
-
-@dataclass(frozen=True)
-class CumulativeCounts:
-    """counts[c] = number of k-mers whose last symbol sorts below base c.
-
-    The $ sentinel is counted, so counts['A'] is always 1: this folds the
-    +1 rank offset of the all-$ row into the extension formula.
-    """
-
-    values: tuple[int, int, int, int]
-
-    def __getitem__(self, base: str) -> int:
-        return self.values[BASE_CODES[base] - 1]
 
 
 class SbwtIndex:
@@ -152,14 +132,10 @@ class SbwtIndex:
             raise FormatError(
                 f"inconsistent subset matrix: {sum(pops)} set bits for n={n}"
             )
-        cum = [1]
-        for p in pops[:-1]:
-            cum.append(cum[-1] + p)
-        self.counts = CumulativeCounts(tuple(cum))
-        # 0-based destination slice [start, stop) of each base's LF block
-        self.lf_slices = tuple(
-            (cum[c], cum[c] + pops[c]) for c in range(4)
-        )
+        # counts[c]: k-mers whose last symbol sorts below row c's base. The $
+        # sentinel is counted, so counts[0] == 1: this folds the +1 rank
+        # offset of the all-$ row into the extension formula.
+        self.counts = tuple(1 + sum(pops[:c]) for c in range(4))
 
     @cached_property
     def pred(self) -> np.ndarray:
@@ -169,8 +145,8 @@ class SbwtIndex:
         on itself. Base c's set columns fill its LF block in column order,
         unpacked one row at a time on first use."""
         pred = np.zeros(self.n, dtype=np.intp)
-        for (start, stop), bv in zip(self.lf_slices, self.matrix.rows):
-            pred[start:stop] = np.flatnonzero(bv.to_bool())
+        for start, bv in zip(self.counts, self.matrix.rows):
+            pred[start : start + bv.popcount] = np.flatnonzero(bv.to_bool())
         return pred
 
     def __eq__(self, other) -> bool:
@@ -222,7 +198,7 @@ def extend_right(
     if base not in BASE_CODES:
         raise ValueError(f"invalid base {base!r}")
     row = index.matrix.row(base)
-    c = index.counts[base]
+    c = index.counts[BASE_CODES[base] - 1]
     low_rank = row.rank(lo - 1)
     high_rank = row.rank(hi)
     if low_rank == high_rank:

@@ -19,13 +19,8 @@ from .stats import BuildStats
 
 def initial_labels(index: SbwtIndex) -> np.ndarray:
     """Last symbol of each k-mer, decoded from the count blocks (codes)."""
-    sizes = [index.counts["A"]] + [stop - start for start, stop in index.lf_slices]
+    sizes = [1, *(bv.popcount for bv in index.matrix.rows)]
     return np.repeat(np.arange(5, dtype=np.uint8), sizes)
-
-
-def propagate_round(labels: np.ndarray, index: SbwtIndex) -> np.ndarray:
-    """Labels one character further from the k-mer end; the root keeps $."""
-    return labels[index.pred]
 
 
 def step_map(index: SbwtIndex, c: int) -> np.ndarray:
@@ -52,7 +47,7 @@ def lcs_rounds(index: SbwtIndex, c: int) -> np.ndarray:
     labels = initial_labels(index)
     packed = labels.astype(np.min_scalar_type(8**c - 1), copy=False)
     for _ in range(c - 1):
-        labels = propagate_round(labels, index)
+        labels = labels[index.pred]
         packed = (packed << 3) | labels
     del labels
     step = step_map(index, c)
@@ -106,7 +101,7 @@ def decode_spectrum(index: SbwtIndex) -> SortedSpectrum:
     chars = np.empty((k, n), dtype=np.uint8)
     chars[0] = initial_labels(index)  # row j holds the char at offset j from the end
     for j in range(1, k):
-        chars[j] = propagate_round(chars[j - 1], index)
+        chars[j] = chars[j - 1][index.pred]
     equal = np.flatnonzero((chars[:, 1:] == chars[:, :-1]).all(axis=0))
     if len(equal):
         r = int(equal[0]) + 1

@@ -60,7 +60,7 @@ def lcs_linear(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
             # seeded interval of "$": claims slot 2 definitionally
             cand.append(np.array([1], dtype=np.int64))
         for c in range(4):
-            new_hi = index.counts.values[c] + index.matrix.rows[c].rank_many(his)
+            new_hi = index.counts[c] + index.matrix.rows[c].rank_many(his)
             cand.append(new_hi[new_hi < n])  # the slot past rank n does not exist
         slots = np.concatenate(cand)  # 0-based slot index == right endpoint
         won = _claim(lcs, slots, i - 1)

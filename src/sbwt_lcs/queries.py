@@ -41,7 +41,7 @@ def lookup(index: SbwtIndex, kmer: str) -> int | None:
     if len(kmer) != index.k:
         raise ValueError(f"query length {len(kmer)} != k={index.k}")
     check_bases(kmer, "query k-mer")
-    rows, counts = index.matrix.rows, index.counts.values
+    rows, counts = index.matrix.rows, index.counts
     lo, hi = 0, index.n
     for c in kmer.encode().translate(_ROW_OF):
         rank, before = rows[c].rank, counts[c]

@@ -40,6 +40,14 @@ def worked_files(worked_fasta, tmp_path):
 
 
 @pytest.fixture
+def short_fasta(tmp_path):
+    # no record holds a 5-mer once split at N
+    path = tmp_path / "short.fa"
+    path.write_text(">a\nACG\n>b\nNNNN\n")
+    return str(path)
+
+
+@pytest.fixture
 def random_fasta(tmp_path):
     path = tmp_path / "random.fa"
     rng = Random(5)
@@ -107,6 +115,13 @@ class TestBuild:
 
     def test_unreadable_input_exits_2(self, tmp_path):
         assert main(["build", str(tmp_path / "no.fa"), "-k", "4", "-o", str(tmp_path / "x")]) == 2
+
+    def test_no_kmer_after_splitting_exits_2(self, short_fasta, tmp_path, capsys):
+        out = tmp_path / "x"
+        assert main(["build", short_fasta, "-k", "5", "-o", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no 5-mers extracted" in captured.err
+        assert not out.exists()
 
     def test_bad_k_exits_1(self, worked_fasta, tmp_path, capsys):
         assert_usage_error(["build", worked_fasta, "-k", "0", "-o", str(tmp_path / "x")], capsys)
@@ -388,10 +403,12 @@ class TestQuery:
         assert main(["query", index, lcs, "lookup", "GT"]) == 1
         assert main(["query", index, lcs, "lookup", "GTNA"]) == 1
 
-    def test_bad_interval_exits_1(self, worked_files):
+    def test_bad_interval_exits_1(self, worked_files, capsys):
         index, lcs = worked_files
         base = ["query", index, lcs, "contract", "--suffix-len", "3", "--point", "2"]
+        capsys.readouterr()
         assert main(base + ["--interval", "13"]) == 1
+        assert capsys.readouterr().err == "error: malformed interval '13'\n"
         assert main(base + ["--interval", "0,40"]) == 1
 
 
@@ -399,6 +416,11 @@ class TestVerify:
     def test_worked_fasta(self, worked_fasta, capsys):
         assert main(["verify", worked_fasta, "-k", "4"]) == 0
         assert "verified" in capsys.readouterr().out
+
+    def test_no_kmer_after_splitting_exits_2(self, short_fasta, capsys):
+        assert main(["verify", short_fasta, "-k", "5"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "no 5-mers extracted" in captured.err
 
     def test_random_mode(self, capsys):
         assert main(["verify", "--random", "--trials", "20", "--seed", "42"]) == 0

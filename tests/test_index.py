@@ -43,7 +43,7 @@ class TestBitvector:
         for i in range(0, len(bits) + 1):
             assert bv.rank(i) == prefix[i]
         got = bv.rank_many(np.arange(len(bits) + 1))
-        assert (got == prefix).all()
+        assert got.dtype == np.int64 and (got == prefix).all()
 
     def test_rank_out_of_range(self):
         bv = bitvector(np.ones(10, dtype=bool))
@@ -63,6 +63,25 @@ class TestBitvector:
         assert (bv.rank_many(np.array(probes)) == prefix[probes]).all()
         assert bv.to_bool().tolist() == bits.tolist()
 
+    @pytest.mark.parametrize("words", [1, 2, 9])
+    def test_whole_words_read_the_pad_entry(self, words):
+        # at n = 64m, rank(n) reads the table entry of the zero pad word
+        rng = Random(words)
+        bits = np.array([rng.random() < 0.5 for _ in range(64 * words)])
+        bv = bitvector(bits)
+        prefix = np.concatenate(([0], np.cumsum(bits)))
+        assert [bv.rank(i) for i in range(len(bits) + 1)] == prefix.tolist()
+        assert (bv.rank_many(np.arange(len(bits) + 1)) == prefix).all()
+        assert bv.rank(len(bits)) == bv.popcount == int(bits.sum())
+
+    def test_all_ones_counts_past_16_bits(self):
+        n = 70_000
+        bv = bitvector(np.ones(n, dtype=bool))
+        probes = np.array([0, 1, 65_535, 65_536, 65_537, 69_999, n])
+        assert [bv.rank(int(i)) for i in probes] == probes.tolist()
+        assert bv.rank_many(probes).tolist() == probes.tolist()
+        assert bv.popcount == n
+
 
 class TestBuildIndex:
     def test_worked_matrix(self, worked_index):
@@ -70,13 +89,13 @@ class TestBuildIndex:
             assert row_string(worked_index, base) == expected
 
     def test_worked_counts(self, worked_index):
-        assert worked_index.counts.values == (1, 9, 10, 16)
+        assert worked_index.counts == (1, 9, 10, 16)
 
     def test_one_column(self, one_column_index):
         idx = one_column_index
         assert idx.n == 1
         assert all(bv.popcount == 0 for bv in idx.matrix.rows)
-        assert idx.counts.values == (1, 1, 1, 1)
+        assert idx.counts == (1, 1, 1, 1)
 
     def test_total_bits(self, worked_index):
         assert sum(bv.popcount for bv in worked_index.matrix.rows) == worked_index.n - 1
@@ -317,6 +336,6 @@ class TestLfPartition:
     def test_destination_blocks_partition_non_root_ranks(self, worked_index):
         # every propagation round writes ranks 2..n exactly once
         spans = []
-        for start, stop in worked_index.lf_slices:
-            spans.extend(range(start, stop))
+        for start, bv in zip(worked_index.counts, worked_index.matrix.rows):
+            spans.extend(range(start, start + bv.popcount))
         assert spans == list(range(1, worked_index.n))

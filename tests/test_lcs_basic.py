@@ -14,7 +14,6 @@ from sbwt_lcs import (
     initial_labels,
     lcs_basic,
     naive_lcs,
-    propagate_round,
 )
 from sbwt_lcs.alphabet import decode
 from sbwt_lcs.stats import BuildStats
@@ -44,14 +43,14 @@ class TestInitialLabels:
 
 class TestPropagateRound:
     def test_one_round_gives_second_to_last(self, worked_spectrum, worked_index):
-        labels = propagate_round(initial_labels(worked_index), worked_index)
+        labels = initial_labels(worked_index)[worked_index.pred]
         expected = "".join(x[-2] for x in worked_spectrum.kmers)
         assert labels_str(labels) == expected
 
     def test_one_column_fixed_point(self, one_column_index):
         labels = initial_labels(one_column_index)
         for _ in range(3):
-            labels = propagate_round(labels, one_column_index)
+            labels = labels[one_column_index.pred]
             assert labels_str(labels) == "$"
 
     def test_k_rounds_exhaust_padded_kmers(self, worked_spectrum, worked_index):
@@ -59,7 +58,7 @@ class TestPropagateRound:
         # $-padded k-mers; their labels are $ once exhausted and stay $
         labels = initial_labels(worked_index)
         for _ in range(worked_index.k):
-            labels = propagate_round(labels, worked_index)
+            labels = labels[worked_index.pred]
         labels = labels_str(labels)
         for kmer, label in zip(worked_spectrum.kmers, labels):
             if "$" in kmer:
@@ -72,7 +71,7 @@ class TestPropagateRound:
         index = build_index(spectrum)
         labels = initial_labels(index)
         for offset in range(1, k):
-            labels = propagate_round(labels, index)
+            labels = labels[index.pred]
             expected = "".join(x[k - 1 - offset] for x in spectrum.kmers)
             assert labels_str(labels) == expected
 

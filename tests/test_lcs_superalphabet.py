@@ -13,7 +13,6 @@ from sbwt_lcs import (
     lcs_basic,
     lcs_super,
     naive_lcs,
-    propagate_round,
 )
 from sbwt_lcs.lcs_basic import step_map
 from sbwt_lcs.lcs_superalphabet import MAX_WIDTH
@@ -36,12 +35,12 @@ class TestSuperStepEquivalence:
         labels = initial_labels(index)
         packed = labels.astype(np.int64)
         for _ in range(c - 1):
-            labels = propagate_round(labels, index)
+            labels = labels[index.pred]
             packed = (packed << 3) | labels
         # c more basic rounds pack offsets c .. 2c-1
         expected = np.zeros_like(packed)
         for _ in range(c):
-            labels = propagate_round(labels, index)
+            labels = labels[index.pred]
             expected = (expected << 3) | labels
         assert (packed[step] == expected).all()
 
