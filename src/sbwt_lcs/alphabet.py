@@ -17,6 +17,9 @@ SYMBOLS = DOLLAR + BASES  # index in this string == numeric code
 
 BASE_CODES = {c: i + 1 for i, c in enumerate(BASES)}
 
+# byte -> subset-matrix row of its base (A, C, G, T = 0..3); 255 for any other byte
+ROW_OF = bytes(BASES.index(chr(b)) if chr(b) in BASES else 255 for b in range(256))
+
 _CODE_TO_ASCII = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8).copy()
 _NOT_A_BASE = re.compile("[^ACGT]")
 

@@ -5,9 +5,10 @@ A row is a k-mer, or a $-padded prefix of one: its symbols as 2-bit codes
 significant, plus the length of its unpadded body. Word 0 holds the last
 32 symbols, word 1 the 32 before them, and so on; arrays are word-major,
 so words[w] is one word of every row and k <= 32 needs a single word.
-Integer order of (words, body length) is colexicographic order over $ACGT,
-because a $ packs like A but belongs to a shorter body, which sorts first
-on ties.
+A sort key is a sequence of equal-length 1-D arrays, compared first to
+last: the words, word 0 first, then the body length wherever rows can tie
+on words. Key order is colexicographic order over $ACGT, because a $ packs
+like A but belongs to a shorter body, which sorts first on ties.
 
 pack_pieces builds the spectrum from cleaned input pieces without going
 through strings per k-mer, and subset_rows fills its 4 x n subset matrix
@@ -22,14 +23,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .alphabet import BASES
+from .alphabet import BASES, ROW_OF
 
 _ALL = np.uint64(0xFFFF_FFFF_FFFF_FFFF)
 _TOP = np.uint64(62)
-
-# byte -> 2-bit code (A=0 .. T=3); 255 marks every other byte
-_CODES = np.full(256, 255, dtype=np.uint8)
-_CODES[np.frombuffer(BASES.encode("ascii"), dtype=np.uint8)] = np.arange(4, dtype=np.uint8)
 
 # entries per step of subset_rows: bounds its working buffers
 _CHUNK = 1 << 16
@@ -81,58 +78,53 @@ def _rows(win: np.ndarray, ends: np.ndarray, lens, nw: int) -> np.ndarray:
     return out
 
 
-def _run_starts(words: np.ndarray, lens: np.ndarray | None = None) -> np.ndarray:
-    """Mask of the rows of sorted arrays that differ from their predecessor."""
-    keep = np.ones(words.shape[1], dtype=bool)
-    keep[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
-    if lens is not None:
-        keep[1:] |= lens[1:] != lens[:-1]
+def _run_starts(keys) -> np.ndarray:
+    """Mask of the rows of sorted keys that differ from their predecessor."""
+    keep = np.zeros(len(keys[0]), dtype=bool)
+    for key in keys:
+        keep[1:] |= key[1:] != key[:-1]
+    keep[:1] = True
     return keep
 
 
-def _order(words: np.ndarray, lens: np.ndarray | None = None) -> np.ndarray:
-    """Indices of one row of each distinct value, in colex order.
+def _order(keys) -> np.ndarray:
+    """Indices of one row of each distinct key, in key order.
 
-    An unstable sort on word 0 orders most rows at once; only the runs of
-    rows sharing word 0 go through np.lexsort of the other words and the
-    lengths, keyed first by run.
+    An unstable sort on the first key orders most rows at once; only the
+    runs of rows sharing it go through np.lexsort of the other keys, keyed
+    first by run.
     """
-    order = np.argsort(words[0])
-    first = words[0, order]
+    order = np.argsort(keys[0])
+    first = keys[0][order]
     tie = first[1:] == first[:-1]
-    if (len(words) > 1 or lens is not None) and tie.any():
+    if len(keys) > 1 and tie.any():
         in_run = np.zeros(len(order), dtype=bool)
         in_run[1:] = tie
         in_run[:-1] |= tie
         at = np.flatnonzero(in_run)
         run = np.cumsum(np.concatenate(([True], ~tie))[at])
         sub = order[at]
-        keys = tuple(words[:0:-1, sub]) + (run,)
-        order[at] = sub[np.lexsort(keys if lens is None else (lens[sub], *keys))]
-    return order[_run_starts(words[:, order], None if lens is None else lens[order])]
+        order[at] = sub[np.lexsort([key[sub] for key in keys[:0:-1]] + [run])]
+    return order[_run_starts([key[order] for key in keys])]
 
 
-def _search(keys, key_lens, queries, query_lens) -> np.ndarray:
+def _search(keys, queries) -> np.ndarray:
     """Leftmost insertion point of each query row among sorted key rows.
 
-    Rows compare by words, word 0 first, then by body length if lengths
-    are given. Two np.searchsorted calls on word 0 narrow each query to the
-    run of keys sharing that word; bisection settles the rest of the
-    comparison inside those runs, which are short.
+    Two np.searchsorted calls on the first key narrow each query to the
+    run of rows sharing it; bisection settles the other keys inside those
+    runs, which are short.
     """
     lo = np.searchsorted(keys[0], queries[0], side="left")
-    if len(keys) == 1 and key_lens is None:
+    if len(keys) == 1:
         return lo
     hi = np.searchsorted(keys[0], queries[0], side="right")
     todo = np.flatnonzero(lo < hi)
     while len(todo):
         mid = (lo[todo] + hi[todo]) >> 1
-        if key_lens is None:
-            less = np.zeros(len(todo), dtype=bool)
-        else:
-            less = key_lens[mid] < query_lens[todo]
-        for w in range(len(keys) - 1, 0, -1):
-            a, b = keys[w][mid], queries[w][todo]
+        less = np.zeros(len(todo), dtype=bool)
+        for key, query in zip(keys[:0:-1], queries[:0:-1]):
+            a, b = key[mid], query[todo]
             less = np.where(a == b, less, a < b)
         lo[todo] = np.where(less, mid + 1, lo[todo])
         hi[todo] = np.where(less, hi[todo], mid)
@@ -170,7 +162,7 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
         raise ValueError("k must be >= 1")
     nw = _nwords(k)
     text = "".join(pieces)
-    sym = _CODES[np.frombuffer(text.encode("ascii", "replace"), dtype=np.uint8)]
+    sym = np.frombuffer(text.encode("ascii", "replace").translate(ROW_OF), dtype=np.uint8)
     bad = np.flatnonzero(sym > 3)
     if len(bad):
         raise ValueError(
@@ -195,21 +187,20 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     heads = starts[lengths >= k] + k - 1  # end of the first k-mer of each piece
     suffixes = _drop_first(kmers, k)
     prefixes = _rows(win, heads - 1, k - 1, nw)
-    at = np.minimum(_search(suffixes, None, prefixes, None), kmers.shape[1] - 1)
+    at = np.minimum(_search(suffixes, prefixes), kmers.shape[1] - 1)
     has_pred = _equal_at(suffixes, at, prefixes)
     del suffixes, prefixes
     sources = heads[~has_pred]
-    sources = sources[_order(_rows(win, sources, k, nw))]
 
-    # the root, and $^(k-i) x[:i] for i = 1..k-1 of each distinct source x
+    # the root, and $^(k-i) x[:i] for i = 1..k-1 of each source x; _order drops repeats
     body = np.tile(np.arange(1, k, dtype=np.int32), len(sources))
     pad_ends = np.repeat(sources - (k - 1), k - 1) + body - 1
     padded = np.concatenate((np.zeros((nw, 1), np.uint64), _rows(win, pad_ends, body, nw)), axis=1)
     body = np.concatenate((np.zeros(1, np.int32), body))
-    keep = _order(padded, body)
+    keep = _order([*padded, body])
     padded, body = padded[:, keep], body[keep]
     # a padded row goes before the k-mer it ties with: its body is shorter
-    at = _search(kmers, None, padded, None)
+    at = _search(kmers, padded)
     words = np.insert(kmers, at, padded, axis=1)
     lens = np.insert(np.full(kmers.shape[1], k, dtype=np.int32), at, body)
     return PackedSpectrum(k, words, lens)
@@ -227,15 +218,14 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
     (the spectrum is prefix-closed).
     """
     k, words, lens, n = ps.k, ps.words, ps.lens, ps.n
-    suffixes = _drop_first(words, k)
-    suffix_lens = np.minimum(lens, k - 1)
+    suffixes = [*_drop_first(words, k), np.minimum(lens, k - 1)]
     rows = np.zeros((4, n), dtype=bool)
     for start in range(1, n, _CHUNK):
-        part = words[:, start : start + _CHUNK]
-        prefixes = _drop_last(part)
-        prefix_lens = lens[start : start + _CHUNK] - 1
-        at = np.minimum(_search(suffixes, suffix_lens, prefixes, prefix_lens), n - 1)
-        found = (suffix_lens[at] == prefix_lens) & _equal_at(suffixes, at, prefixes)
+        chunk = slice(start, start + _CHUNK)
+        part = words[:, chunk]
+        prefixes = [*_drop_last(part), lens[chunk] - 1]
+        at = np.minimum(_search(suffixes, prefixes), n - 1)
+        found = _equal_at(suffixes, at, prefixes)
         last = (part[0] >> _TOP).astype(np.intp)
         if not found.all():
             c = int(last[np.argmin(found)])

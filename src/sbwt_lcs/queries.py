@@ -14,12 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .alphabet import BASES, check_bases
+from .alphabet import ROW_OF, check_bases
 from .index import ColexInterval, FormatError, SbwtIndex
-
-
-# query byte -> row of its base in the subset matrix (A, C, G, T = 0..3)
-_ROW_OF = bytes.maketrans(BASES.encode(), bytes(range(4)))
 
 
 @dataclass(frozen=True)
@@ -43,7 +39,7 @@ def lookup(index: SbwtIndex, kmer: str) -> int | None:
     check_bases(kmer, "query k-mer")
     rows, counts = index.matrix.rows, index.counts
     lo, hi = 0, index.n
-    for c in kmer.encode().translate(_ROW_OF):
+    for c in kmer.encode().translate(ROW_OF):
         rank, before = rows[c].rank, counts[c]
         lo, hi = before + rank(lo), before + rank(hi)
         if lo == hi:

@@ -3,8 +3,10 @@ and through the CLI, and build_index's own input checks."""
 
 import io
 import re
+from bisect import bisect_left
 from random import Random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,7 +20,7 @@ from sbwt_lcs import (
     save_index,
 )
 from sbwt_lcs.cli import main, packed_index
-from sbwt_lcs.packed import pack_pieces
+from sbwt_lcs.packed import _order, _search, pack_pieces
 
 from conftest import random_instance
 
@@ -107,6 +109,38 @@ def test_matches_oracle(k, pieces):
 def test_rejects_non_acgt_piece():
     with pytest.raises(ValueError, match="invalid symbol 'N'"):
         pack_pieces(["ACGNT"], 2)
+
+
+def test_rejects_low_control_byte():
+    # bytes 0..3 must not pass as rows 0..3: only A, C, G and T map below 255
+    with pytest.raises(ValueError, match=re.escape(r"invalid symbol '\x01'")):
+        pack_pieces(["AC\x01G"], 2)
+
+
+# few values, so that rows often tie on word 0; two have the top bit set
+WORDS = st.sampled_from([0, 1, 2, 1 << 63, (1 << 64) - 1])
+
+
+def as_keys(rows, nw):
+    """Tuples (word 0, .., word nw-1, length) as nw uint64 keys and an int32 key."""
+    cols = list(zip(*rows)) or [()] * (nw + 1)
+    return [np.array(c, dtype=np.uint64) for c in cols[:nw]] + [np.array(cols[nw], np.int32)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), nw=st.integers(1, 3))
+def test_order_and_search_match_tuple_order(data, nw):
+    row = st.tuples(*[WORDS] * nw, st.integers(0, 3))
+    rows = data.draw(st.lists(row, max_size=40))
+    table = sorted(set(rows))
+    assert [rows[i] for i in _order(as_keys(rows, nw))] == table
+    # absent rows (length 4 never occurs among the keys) and present ones
+    query = st.tuples(*[WORDS] * nw, st.integers(0, 4))
+    if table:
+        query |= st.sampled_from(table)
+    queries = data.draw(st.lists(query, max_size=20))
+    at = _search(as_keys(table, nw), as_keys(queries, nw))
+    assert at.tolist() == [bisect_left(table, q) for q in queries]
 
 
 class TestPackKmersChecks:
