@@ -217,12 +217,13 @@ def cmd_verify(args) -> int:
     return code
 
 
-def check_lcs_pair(index: SbwtIndex, values: np.ndarray, index_path: str, lcs_path: str) -> None:
-    """Raise FormatError if the LCS array cannot belong to the index.
+def load_lcs_for(index: SbwtIndex, index_path: str, lcs_path: str) -> np.ndarray:
+    """An LCS file's values; raises FormatError if they cannot belong to the index.
 
     Catches a file built for another index of different n, or of equal n
     and larger k; one built for an equal-n, equal-k index still passes.
     """
+    values = load_lcs(lcs_path)
     if len(values) != index.n:
         problem = f"LCS file has {len(values)} entries, index has n={index.n}"
     elif values[0] != 0:
@@ -230,15 +231,13 @@ def check_lcs_pair(index: SbwtIndex, values: np.ndarray, index_path: str, lcs_pa
     elif values.max() > index.k - 1:
         problem = f"LCS value {int(values.max())} exceeds k-1={index.k - 1}"
     else:
-        return
+        return values
     raise FormatError(f"{lcs_path} does not match {index_path}: {problem}")
 
 
 def cmd_dump(args) -> int:
     index = load_index(args.index)
-    values = load_lcs(args.lcs) if args.lcs else None
-    if values is not None:
-        check_lcs_pair(index, values, args.index, args.lcs)
+    values = load_lcs_for(index, args.index, args.lcs) if args.lcs else None
     spectrum = decode_spectrum(index)
     for i, kmer in enumerate(spectrum.kmers):
         subset = index.subset_at(i + 1) or "-"
@@ -260,8 +259,7 @@ def parse_interval(text: str) -> ColexInterval:
 
 def cmd_query(args) -> int:
     index = load_index(args.index)
-    values = load_lcs(args.lcs)
-    check_lcs_pair(index, values, args.index, args.lcs)
+    values = load_lcs_for(index, args.index, args.lcs)
     try:
         if args.action == "lookup":
             for kmer in args.kmers:

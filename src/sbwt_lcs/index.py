@@ -104,7 +104,6 @@ class Bitvector:
 class SubsetMatrix:
     """One bitvector per base, all of length n; total set bits is n-1."""
 
-    n: int
     rows: tuple[Bitvector, ...]  # indexed by base code - 1 (A, C, G, T)
 
     def row(self, base: str) -> Bitvector:
@@ -126,7 +125,7 @@ class SbwtIndex:
             raise FormatError("nonzero padding bits in row data")
         self.k = k
         self.n = n
-        self.matrix = SubsetMatrix(n, tuple(Bitvector(r, n) for r in rows))
+        self.matrix = SubsetMatrix(tuple(Bitvector(r, n) for r in rows))
         pops = [bv.popcount for bv in self.matrix.rows]
         if sum(pops) != n - 1:
             raise FormatError(

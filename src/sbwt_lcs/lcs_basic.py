@@ -36,12 +36,13 @@ def lcs_rounds(index: SbwtIndex, c: int) -> np.ndarray:
     """LCS array by rounds that each read c symbols of every k-mer.
 
     Entry i-1 holds the value for rank i; rank 1 is 0 by definition.
-    Round r packs the symbols at offsets r..r+c-1 from the k-mer end into
-    3-bit fields, offset r highest. An open slot whose label differs from
-    its left neighbour's receives r plus the index of the first differing
-    field, found from the XOR's bit length, unless that offset is k or
-    more. Raises FormatError if a slot is still open after all k offsets,
-    which means the index holds two equal k-mers.
+    Round r gathers a label buffer of the symbols at offsets r..r+c-1 from
+    the k-mer end in 3-bit fields, offset r highest. The mask `same` holds
+    the slots that have matched their left neighbour in every round so far,
+    and a counter of the narrowest type that holds k + c counts those rounds
+    at width 1; at width c a slot that stops matching takes r plus its first
+    differing field, read from the XOR's bit length. Raises FormatError if a
+    slot matches through offset k-1, as only two equal k-mers can.
     """
     n, k = index.n, index.k
     labels = initial_labels(index)
@@ -53,29 +54,25 @@ def lcs_rounds(index: SbwtIndex, c: int) -> np.ndarray:
     step = step_map(index, c)
     # bit length of the XOR -> index of the first differing field, highest first
     first_field = np.array([0] + [c - 1 - (b - 1) // 3 for b in range(1, 3 * c + 1)])
-    lcs = np.zeros(n, dtype=np.int32)
-    open_slots = np.ones(n, dtype=bool)
-    open_slots[0] = False
+    lcs = np.zeros(n, dtype=np.min_scalar_type(k + c))
+    same = np.ones(n - 1, dtype=bool)
     for r in range(0, k, c):
         if r:
             packed = packed[step]
-        hits = np.flatnonzero(open_slots[1:] & (packed[1:] != packed[:-1])) + 1
+        equal = packed[1:] == packed[:-1]
         if c == 1:
-            lcs[hits] = r
+            lcs[1:] += same & equal
         else:
-            _, bits = np.frexp(packed[hits] ^ packed[hits - 1])
-            offsets = r + first_field[bits]
-            inside = offsets < k
-            hits = hits[inside]
-            lcs[hits] = offsets[inside]
-        open_slots[hits] = False
-        del hits  # up to n entries; not kept alive through the next gather
-    still_open = int(np.count_nonzero(open_slots))
+            ends = np.flatnonzero(same & ~equal)
+            _, bits = np.frexp(packed[ends + 1] ^ packed[ends])
+            lcs[ends + 1] = r + first_field[bits]
+        same &= equal
+    still_open = int(np.count_nonzero(same | (lcs[1:] >= k)))
     if still_open:
         raise FormatError(
             f"inconsistent index: {still_open} LCS slots still open after all k={k} symbols"
         )
-    return lcs
+    return lcs.astype(np.int32)
 
 
 def lcs_basic(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
@@ -109,5 +106,5 @@ def decode_spectrum(index: SbwtIndex) -> SortedSpectrum:
             f"inconsistent index: ranks {r} and {r + 1} decode to the same k-mer, "
             "so the k-mers are not strictly colex-increasing"
         )
-    columns = np.ascontiguousarray(chars[::-1].T)
-    return SortedSpectrum(k, tuple(decode(columns[i]) for i in range(n)))
+    text = decode(chars[::-1].T)
+    return SortedSpectrum(k, tuple(text[i : i + k] for i in range(0, n * k, k)))

@@ -13,6 +13,7 @@ from sbwt_lcs import (
     extended_spectrum,
     initial_labels,
     lcs_basic,
+    lcs_super,
     naive_lcs,
 )
 from sbwt_lcs.alphabet import decode
@@ -23,6 +24,14 @@ from conftest import WORKED_LCS, random_instance
 
 def labels_str(codes):
     return decode(np.asarray(codes, dtype=np.uint8))
+
+
+def lcs_or_error(construct, *args):
+    """construct(*args) as a list, or the message of the FormatError it raises."""
+    try:
+        return construct(*args).tolist()
+    except FormatError as exc:
+        return str(exc)
 
 
 class TestInitialLabels:
@@ -122,7 +131,9 @@ class TestDecodeSpectrum:
 
     def test_random_matrices_sorted_or_rejected(self):
         # any matrix with n-1 set bits decodes in non-decreasing colex order;
-        # where two neighbours are equal, decoding and lcs_basic both reject it
+        # where two neighbours are equal, decoding and lcs_basic both reject it,
+        # and lcs_super at widths 2 and 4 (whose last round may read past k)
+        # rejects it with the same message or gives the same array
         rng = Random(7)
         outcomes = set()
         for _ in range(2000):
@@ -131,15 +142,17 @@ class TestDecodeSpectrum:
             for f in rng.sample(range(4 * n), n - 1):
                 bits[f % 4, f // 4] = True
             index = SbwtIndex(k, n, np.packbits(bits, axis=1, bitorder="little"))
+            basic = lcs_or_error(lcs_basic, index)
+            for c in (2, 4):
+                assert lcs_or_error(lcs_super, index, c) == basic
             try:
                 kmers = decode_spectrum(index).kmers
             except FormatError:
-                with pytest.raises(FormatError):
-                    lcs_basic(index)
+                assert isinstance(basic, str)
                 outcomes.add("rejected")
                 continue
             keys = [x[::-1] for x in kmers]
             assert all(a < b for a, b in zip(keys, keys[1:]))
-            lcs_basic(index)
+            assert isinstance(basic, list)
             outcomes.add("decoded")
         assert outcomes == {"decoded", "rejected"}
