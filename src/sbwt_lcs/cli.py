@@ -16,6 +16,7 @@ from random import Random
 
 import numpy as np
 
+from .alphabet import BASES
 from .index import (
     MAX_K,
     ColexInterval,
@@ -47,6 +48,8 @@ AUTO_BASIC_MAX_K = 63
 _RC = str.maketrans("ACGT", "TGCA")
 _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")
 _LINE_SPACE = " \t\n\r\v\f"  # ASCII only: str.strip() also drops 0x85 and 0xA0
+# dump's subset column for each 4-bit matrix column, bit c set for base c
+_SUBSETS = ["".join(b for c, b in enumerate(BASES) if code >> c & 1) or "-" for code in range(16)]
 
 
 # ---------------------------------------------------------------------------
@@ -239,12 +242,14 @@ def cmd_dump(args) -> int:
     index = load_index(args.index)
     values = load_lcs_for(index, args.index, args.lcs) if args.lcs else None
     spectrum = decode_spectrum(index)
-    for i, kmer in enumerate(spectrum.kmers):
-        subset = index.subset_at(i + 1) or "-"
-        if values is None:
-            print(f"{i + 1}\t{kmer}\t{subset}")
-        else:
-            print(f"{i + 1}\t{kmer}\t{subset}\t{int(values[i])}")
+    codes = np.zeros(index.n, dtype=np.uint8)
+    for c, row in enumerate(index.matrix.rows):
+        codes |= row.to_bool().view(np.uint8) << c
+    columns = [range(1, index.n + 1), spectrum.kmers, [_SUBSETS[c] for c in codes.tolist()]]
+    if values is not None:
+        columns.append(values.tolist())
+    line = "\t".join(["{}"] * len(columns)) + "\n"
+    sys.stdout.writelines(map(line.format, *columns))
     return EXIT_OK
 
 

@@ -12,8 +12,10 @@ like A but belongs to a shorter body, which sorts first on ties.
 
 pack_pieces builds the spectrum from cleaned input pieces without going
 through strings per k-mer, and subset_rows fills its 4 x n subset matrix
-by sorted search. Together they are the only production build (`sbwt-lcs
-build`); index.build_index is the string reference they are tested against.
+by sorted search. Both match rows with _find: one search on word 0, and
+the full key only for the queries that miss there. Together they are the
+only production build (`sbwt-lcs build`); index.build_index is the string
+reference they are tested against.
 """
 
 from __future__ import annotations
@@ -111,9 +113,9 @@ def _order(keys) -> np.ndarray:
 def _search(keys, queries) -> np.ndarray:
     """Leftmost insertion point of each query row among sorted key rows.
 
-    Two np.searchsorted calls on the first key narrow each query to the
-    run of rows sharing it; bisection settles the other keys inside those
-    runs, which are short.
+    np.searchsorted on the first key, left and right, narrows each query
+    to the run of rows sharing it; bisection settles the other keys inside
+    those runs, which are short.
     """
     lo = np.searchsorted(keys[0], queries[0], side="left")
     if len(keys) == 1:
@@ -143,6 +145,26 @@ def _drop_first(words: np.ndarray, k: int) -> list[np.ndarray]:
 def _equal_at(keys, at: np.ndarray, queries) -> np.ndarray:
     """Whether key row at[j] equals query row j, for every j."""
     return np.logical_and.reduce([key[at] == q for key, q in zip(keys, queries)])
+
+
+def _find(keys, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Exact match of query rows among sorted key rows (at least one).
+
+    at[j] is the first key row not below query j, or the last row if none
+    is; found[j] tells whether it equals query j. One left np.searchsorted
+    on the first key lands on the first row sharing it, which is the match
+    for most queries. Only the queries that miss there, where rows tie on
+    the first key, go through _search on all keys.
+    """
+    last = len(keys[0]) - 1
+    at = np.minimum(np.searchsorted(keys[0], queries[0], side="left"), last)
+    found = _equal_at(keys, at, queries)
+    miss = np.flatnonzero(~found)
+    if len(miss):
+        rest = [query[miss] for query in queries]
+        at[miss] = np.minimum(_search(keys, rest), last)
+        found[miss] = _equal_at(keys, at[miss], rest)
+    return at, found
 
 
 def _drop_last(words: np.ndarray) -> np.ndarray:
@@ -178,17 +200,16 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     del offset
     if nw == 1:  # np.sort is much faster than np.unique or a stable sort
         kmers = np.sort(win[ends] & _top_mask(k))[np.newaxis]
-        kmers = kmers[:, _run_starts(kmers)]
+        kmers = np.compress(_run_starts(kmers), kmers, axis=1)
     else:
         kmers = _rows(win, ends, k, nw)
-        kmers = kmers[:, _order(kmers)]
+        kmers = np.take(kmers, _order(kmers), axis=1)
     del ends
 
     heads = starts[lengths >= k] + k - 1  # end of the first k-mer of each piece
     suffixes = _drop_first(kmers, k)
     prefixes = _rows(win, heads - 1, k - 1, nw)
-    at = np.minimum(_search(suffixes, prefixes), kmers.shape[1] - 1)
-    has_pred = _equal_at(suffixes, at, prefixes)
+    has_pred = _find(suffixes, prefixes)[1]
     del suffixes, prefixes
     sources = heads[~has_pred]
 
@@ -198,7 +219,7 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     padded = np.concatenate((np.zeros((nw, 1), np.uint64), _rows(win, pad_ends, body, nw)), axis=1)
     body = np.concatenate((np.zeros(1, np.int32), body))
     keep = _order([*padded, body])
-    padded, body = padded[:, keep], body[keep]
+    padded, body = np.take(padded, keep, axis=1), body[keep]
     # a padded row goes before the k-mer it ties with: its body is shorter
     at = _search(kmers, padded)
     words = np.insert(kmers, at, padded, axis=1)
@@ -212,10 +233,12 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
 
     Entry j sets the bit of its last symbol at the first column whose
     (k-1)-suffix equals its (k-1)-prefix. The suffixes of colex-sorted rows
-    are themselves sorted, so that column is found by search, one chunk of
-    entries at a time; entry 0 is the root, which pack_pieces puts first
-    and alone. Raises ValueError unless every later row has such a column
-    (the spectrum is prefix-closed).
+    are themselves sorted, so _find gives that column, one chunk of entries
+    at a time: almost every prefix matches the first suffix that carries
+    its word 0, and only padded rows that tie on words and, past k = 32,
+    rows that tie on word 0 need the full-key search. Entry 0 is the root,
+    which pack_pieces puts first and alone. Raises ValueError unless every
+    later row has such a column (the spectrum is prefix-closed).
     """
     k, words, lens, n = ps.k, ps.words, ps.lens, ps.n
     suffixes = [*_drop_first(words, k), np.minimum(lens, k - 1)]
@@ -224,8 +247,7 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
         chunk = slice(start, start + _CHUNK)
         part = words[:, chunk]
         prefixes = [*_drop_last(part), lens[chunk] - 1]
-        at = np.minimum(_search(suffixes, prefixes), n - 1)
-        found = _equal_at(suffixes, at, prefixes)
+        at, found = _find(suffixes, prefixes)
         last = (part[0] >> _TOP).astype(np.intp)
         if not found.all():
             c = int(last[np.argmin(found)])

@@ -12,15 +12,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sbwt_lcs import (
+    SbwtIndex,
     SortedSpectrum,
     build_index,
     decode_spectrum,
     extended_spectrum,
     naive_subset_sequence,
+    packed,
     save_index,
 )
 from sbwt_lcs.cli import main, packed_index
-from sbwt_lcs.packed import _order, _search, pack_pieces
+from sbwt_lcs.packed import PackedSpectrum, _find, _order, _search, pack_pieces, subset_rows
 
 from conftest import random_instance
 
@@ -141,6 +143,81 @@ def test_order_and_search_match_tuple_order(data, nw):
     queries = data.draw(st.lists(query, max_size=20))
     at = _search(as_keys(table, nw), as_keys(queries, nw))
     assert at.tolist() == [bisect_left(table, q) for q in queries]
+    if table:
+        at, found = _find(as_keys(table, nw), as_keys(queries, nw))
+        want = [min(bisect_left(table, q), len(table) - 1) for q in queries]
+        assert at.tolist() == want
+        assert found.tolist() == [table[i] == q for i, q in zip(want, queries)]
+
+
+def spy_on_search(monkeypatch):
+    """Count the query rows that reach packed._search from now on."""
+    seen = []
+
+    def spy(keys, queries):
+        seen.append(len(queries[0]))
+        return _search(keys, queries)
+
+    monkeypatch.setattr(packed, "_search", spy)
+    return seen
+
+
+def tied_pieces(k, rng):
+    """Pieces whose rows tie on word 0 (k > 32) and with padded rows on words.
+
+    Copies of one core under different heads share their last 32 symbols
+    but not the ones before; A-runs and A-led sources give k-mers whose
+    words equal those of $-padded rows.
+    """
+    core = "".join(rng.choice("ACGT") for _ in range(k + 8))
+    heads = ["".join(rng.choice("ACGT") for _ in range(k - 20)) for _ in range(4)]
+    unit = "".join(rng.choice("ACGT") for _ in range(7))
+    return [h + core + rng.choice("ACGT") for h in heads] + [
+        unit * (k // 3),
+        "A" * (k + 9),
+        "A" * (k - 1) + "C" + core[:10],
+        "T" + "A" * (2 * k) + "G",
+        "A" * (k // 2) + "C" * k,
+    ]
+
+
+@pytest.mark.parametrize("k", (31, 32, 33, 64))
+def test_word_ties_take_the_full_key_search(monkeypatch, k):
+    # a word-0 hit whose other keys differ falls back to _search, which must
+    # still place the edge bit on the first column of the matching run
+    pieces = tied_pieces(k, Random(500 + k))
+    ps = pack_pieces(pieces, k)
+    seen = spy_on_search(monkeypatch)
+    index = SbwtIndex(k, ps.n, subset_rows(ps))
+    assert sum(seen) > 0
+    assert index_bytes(index) == index_bytes(build_index(extended_spectrum(pieces, k)))
+
+
+def packed_column(ps, kmer):
+    """Column of the k-mer (unpadded body) in a packed spectrum."""
+    one = pack_pieces([kmer], ps.k)
+    word = one.words[:, one.lens == ps.k]
+    hit = (ps.words == word).all(axis=0) & (ps.lens == ps.k)
+    return int(np.flatnonzero(hit)[0])
+
+
+@pytest.mark.parametrize("k", (40, 64))
+@pytest.mark.parametrize("drop", (0, 1))
+def test_missing_row_found_only_after_the_fallback(monkeypatch, k, drop):
+    # two k-mers share their last 32 symbols; without one of them, its
+    # successor's (k-1)-prefix still hits the other on word 0, and only the
+    # full-key search shows that no column matches it
+    rng = Random(k)
+    tail = "".join(rng.choice("ACGT") for _ in range(33))
+    heads = ("C" + "A" * (k - 34), "C" + "T" * (k - 34))
+    pieces = [heads[0] + tail + "G", heads[1] + tail + "T"]
+    ps = pack_pieces(pieces, k)
+    gone = packed_column(ps, heads[drop] + tail)
+    gapped = PackedSpectrum(k, np.delete(ps.words, gone, axis=1), np.delete(ps.lens, gone))
+    seen = spy_on_search(monkeypatch)
+    with pytest.raises(ValueError, match="not prefix-closed at base " + "GT"[drop]):
+        subset_rows(gapped)
+    assert sum(seen) > 0
 
 
 class TestPackKmersChecks:

@@ -11,6 +11,7 @@ from sbwt_lcs import (
     SbwtIndex,
     build_index,
     cli,
+    decode_spectrum,
     extended_spectrum,
     lcs_linear,
     lcs_super,
@@ -232,6 +233,32 @@ class TestDump:
         assert main(["dump", index]) == 0
         lines = capsys.readouterr().out.splitlines()
         assert all(len(line.split("\t")) == 3 for line in lines)
+
+    @pytest.mark.parametrize("k", (7, 33))
+    @pytest.mark.parametrize("with_lcs", (False, True))
+    def test_table_matches_per_rank_reference(self, tmp_path, capsys, k, with_lcs):
+        # one subset_at call and one line per rank, as dump once wrote it
+        rng = Random(k)
+        stem = "".join(rng.choice("ACGT") for _ in range(2 * k))
+        records = [stem + b + "".join(rng.choice("ACGT") for _ in range(k)) for b in "ACGT"]
+        records += ["A" * (2 * k) + "C", "".join(rng.choice("ACGT") for _ in range(5 * k))]
+        fasta = tmp_path / "in.fa"
+        fasta.write_text("".join(f">r{i}\n{seq}\n" for i, seq in enumerate(records)))
+        index_path, lcs_path = str(tmp_path / "in.sbwt"), str(tmp_path / "in.lcs")
+        assert main(["build", str(fasta), "-k", str(k), "-o", index_path]) == 0
+        assert main(["lcs", index_path, "-o", lcs_path]) == 0
+        index = load_index(index_path)
+        ranks = range(1, index.n + 1)
+        subsets = [index.subset_at(r) or "-" for r in ranks]
+        assert {"-", "A", "ACGT"} <= set(subsets)
+        rows = [f"{r}\t{x}\t{s}" for r, x, s in zip(ranks, decode_spectrum(index).kmers, subsets)]
+        argv = ["dump", index_path]
+        if with_lcs:
+            rows = [f"{row}\t{v}" for row, v in zip(rows, load_lcs(lcs_path).tolist())]
+            argv.append(lcs_path)
+        capsys.readouterr()
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "".join(row + "\n" for row in rows)
 
     def test_one_column_row(self, one_column_index, tmp_path, capsys):
         from sbwt_lcs import save_index
