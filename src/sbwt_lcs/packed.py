@@ -11,11 +11,15 @@ on words. Key order is colexicographic order over $ACGT, because a $ packs
 like A but belongs to a shorter body, which sorts first on ties.
 
 pack_pieces builds the spectrum from cleaned input pieces without going
-through strings per k-mer, and subset_rows fills its 4 x n subset matrix
-by sorted search. Both match rows with _find: one search on word 0, and
-the full key only for the queries that miss there. Together they are the
-only production build (`sbwt-lcs build`); index.build_index is the string
-reference they are tested against.
+through strings per k-mer, and subset_rows fills its 4 x n subset matrix.
+Past k = 32 the sort permutation of the text's k-mers also names a
+predecessor column for every k-mer that follows another in a piece, as in
+Kasai et al.'s LCP construction, and subset_rows takes those as given.
+Every other row, and every row at k <= 32, is matched by sorted search
+with _find: one search on word 0, and the full key only for the queries
+that miss there. Together they are the only production build
+(`sbwt-lcs build`); index.build_index is the string reference they are
+tested against.
 """
 
 from __future__ import annotations
@@ -36,11 +40,17 @@ _CHUNK = 1 << 16
 
 @dataclass(frozen=True)
 class PackedSpectrum:
-    """An extended k-spectrum as packed rows in strictly increasing colex order."""
+    """An extended k-spectrum as packed rows in strictly increasing colex order.
+
+    pred, when set, gives for each row a column whose (k-1)-suffix equals
+    the row's (k-1)-prefix, or -1 where the build learned none: the root,
+    the padded rows, and k-mers seen only as the first k-mer of a piece.
+    """
 
     k: int
     words: np.ndarray  # (nwords, n) uint64
     lens: np.ndarray  # (n,) int32 body lengths; only the all-$ root, first, has 0
+    pred: np.ndarray | None = None  # (n,) int32, or None: search every row
 
     @property
     def n(self) -> int:
@@ -89,8 +99,8 @@ def _run_starts(keys) -> np.ndarray:
     return keep
 
 
-def _order(keys) -> np.ndarray:
-    """Indices of one row of each distinct key, in key order.
+def _sort(keys) -> np.ndarray:
+    """Indices that put the rows of the keys in key order; not stable.
 
     An unstable sort on the first key orders most rows at once; only the
     runs of rows sharing it go through np.lexsort of the other keys, keyed
@@ -107,6 +117,12 @@ def _order(keys) -> np.ndarray:
         run = np.cumsum(np.concatenate(([True], ~tie))[at])
         sub = order[at]
         order[at] = sub[np.lexsort([key[sub] for key in keys[:0:-1]] + [run])]
+    return order
+
+
+def _order(keys) -> np.ndarray:
+    """Indices of one row of each distinct key, in key order."""
+    order = _sort(keys)
     return order[_run_starts([key[order] for key in keys])]
 
 
@@ -178,7 +194,10 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     """Extended k-spectrum of ACGT pieces, as oracle.extended_spectrum defines it.
 
     Only the first k-mer of a piece can be a source: every later one has
-    its predecessor in the same piece.
+    its predecessor in the same piece. Past k = 32 that predecessor becomes
+    pred: the sort permutation maps every text position to its column, and
+    a column learns its pred from any occurrence that follows another
+    k-mer. At k <= 32, where np.sort beats an argsort, pred stays None.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
@@ -198,12 +217,28 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     offset = np.arange(len(win), dtype=np.int64) - np.repeat(starts, lengths)
     ends = np.flatnonzero(offset >= k - 1)  # the last position of every k-mer
     del offset
+    pred = None
     if nw == 1:  # np.sort is much faster than np.unique or a stable sort
         kmers = np.sort(win[ends] & _top_mask(k))[np.newaxis]
         kmers = np.compress(_run_starts(kmers), kmers, axis=1)
     else:
         kmers = _rows(win, ends, k, nw)
-        kmers = np.take(kmers, _order(kmers), axis=1)
+        order = _sort(kmers)
+        for w in range(nw):
+            kmers[w] = kmers[w][order]
+        keep = _run_starts(kmers)
+        col = np.empty(len(order), dtype=np.int32)  # column of the k-mer ending at ends[e]
+        col[order] = np.cumsum(keep, dtype=np.int32) - 1
+        del order
+        m = np.count_nonzero(keep)
+        for w in range(nw):  # in place: a second (nw, M) array would raise the peak
+            kmers[w, :m] = np.compress(keep, kmers[w])
+        kmers = kmers[:, :m]
+        # the k-mer ending one position earlier in the same piece is a predecessor
+        link = np.flatnonzero(ends[1:] - ends[:-1] == 1)
+        pred = np.full(kmers.shape[1], -1, dtype=np.int32)
+        pred[col[link + 1]] = col[link]
+        del col, link
     del ends
 
     heads = starts[lengths >= k] + k - 1  # end of the first k-mer of each piece
@@ -222,9 +257,12 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     padded, body = np.take(padded, keep, axis=1), body[keep]
     # a padded row goes before the k-mer it ties with: its body is shorter
     at = _search(kmers, padded)
+    if pred is not None:  # k-mer column c moves past the padded rows inserted at or before it
+        pred += np.searchsorted(at, pred, side="right")
+        pred = np.insert(pred, at, -1)
     words = np.insert(kmers, at, padded, axis=1)
     lens = np.insert(np.full(kmers.shape[1], k, dtype=np.int32), at, body)
-    return PackedSpectrum(k, words, lens)
+    return PackedSpectrum(k, words, lens, pred)
 
 
 def subset_rows(ps: PackedSpectrum) -> np.ndarray:
@@ -232,21 +270,34 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
     each packed LSB-first into ceil(n/8) bytes as SbwtIndex takes them.
 
     Entry j sets the bit of its last symbol at the first column whose
-    (k-1)-suffix equals its (k-1)-prefix. The suffixes of colex-sorted rows
-    are themselves sorted, so _find gives that column, one chunk of entries
-    at a time: almost every prefix matches the first suffix that carries
-    its word 0, and only padded rows that tie on words and, past k = 32,
-    rows that tie on word 0 need the full-key search. Entry 0 is the root,
-    which pack_pieces puts first and alone. Raises ValueError unless every
-    later row has such a column (the spectrum is prefix-closed).
+    (k-1)-suffix equals its (k-1)-prefix. Where ps.pred names such a
+    column, that is the first column of its run of equal suffixes, set for
+    all those entries in one scatter. The other entries (all of them when
+    pred is None) are searched for: the suffixes of colex-sorted rows are
+    themselves sorted, so _find gives the column, one chunk of entries at
+    a time. Almost every prefix matches the first suffix that carries its
+    word 0; only padded rows that tie on words and, past k = 32, rows that
+    tie on word 0 need the full-key search. Entry 0 is the root, which
+    pack_pieces puts first and alone. Raises ValueError unless every
+    searched row has such a column (the spectrum is prefix-closed).
     """
     k, words, lens, n = ps.k, ps.words, ps.lens, ps.n
     suffixes = [*_drop_first(words, k), np.minimum(lens, k - 1)]
     rows = np.zeros((4, n), dtype=bool)
+    if ps.pred is not None:
+        # head[c]: the first column of c's (k-1)-suffix run
+        head = np.where(_run_starts(suffixes), np.arange(n, dtype=np.int32), 0)
+        np.maximum.accumulate(head, out=head)
+        known = np.flatnonzero(ps.pred >= 0)
+        rows[(words[0, known] >> _TOP).astype(np.uint8), head[ps.pred[known]]] = True
+        del head, known
     for start in range(1, n, _CHUNK):
         chunk = slice(start, start + _CHUNK)
-        part = words[:, chunk]
-        prefixes = [*_drop_last(part), lens[chunk] - 1]
+        part, body = words[:, chunk], lens[chunk]
+        if ps.pred is not None:
+            search = ps.pred[chunk] < 0
+            part, body = np.compress(search, part, axis=1), body[search]
+        prefixes = [*_drop_last(part), body - 1]
         at, found = _find(suffixes, prefixes)
         last = (part[0] >> _TOP).astype(np.intp)
         if not found.all():

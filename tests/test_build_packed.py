@@ -1,6 +1,7 @@
 """The packed-key build against the string reference build_index, directly
 and through the CLI, and build_index's own input checks."""
 
+import dataclasses
 import io
 import re
 from bisect import bisect_left
@@ -186,7 +187,8 @@ def test_word_ties_take_the_full_key_search(monkeypatch, k):
     # a word-0 hit whose other keys differ falls back to _search, which must
     # still place the edge bit on the first column of the matching run
     pieces = tied_pieces(k, Random(500 + k))
-    ps = pack_pieces(pieces, k)
+    # without pred every row searches, as at k <= 32
+    ps = dataclasses.replace(pack_pieces(pieces, k), pred=None)
     seen = spy_on_search(monkeypatch)
     index = SbwtIndex(k, ps.n, subset_rows(ps))
     assert sum(seen) > 0
@@ -218,6 +220,98 @@ def test_missing_row_found_only_after_the_fallback(monkeypatch, k, drop):
     with pytest.raises(ValueError, match="not prefix-closed at base " + "GT"[drop]):
         subset_rows(gapped)
     assert sum(seen) > 0
+
+
+REPEAT_KS = (33, 64, 65, 100, 127)
+
+
+def motif_pieces(k, rng):
+    """Repeat-rich pieces from a few shared motifs.
+
+    Tandem runs and motif copies across pieces, a duplicate piece, a piece
+    wholly inside another, and pieces shorter than k.
+    """
+    motifs = ["".join(rng.choice("ACGT") for _ in range(m)) for m in (5, 13, k // 2, k + 3)]
+
+    def mix(count):
+        return "".join(rng.choice(motifs) for _ in range(count))
+
+    tandem = motifs[1] * (2 * k // 13 + 3)
+    long = mix(4) + tandem + mix(4)
+    pieces = [mix(rng.randint(3, 8)) for _ in range(5)] + [
+        tandem,
+        long,
+        long,
+        long[k // 3 : k // 3 + 2 * k],
+        "A" * (k + 4),
+        motifs[2],
+        motifs[0] * 2,
+        "ACG",
+    ]
+    rng.shuffle(pieces)
+    return pieces
+
+
+def check_pred(ps):
+    """Each known pred column's (k-1)-suffix is its row's (k-1)-prefix;
+    the root and the padded rows have none."""
+    known = np.flatnonzero(ps.pred >= 0)
+    prefixes = [*packed._drop_last(ps.words[:, known]), ps.lens[known] - 1]
+    suffixes = [*packed._drop_first(ps.words, ps.k), np.minimum(ps.lens, ps.k - 1)]
+    for suffix, prefix in zip(suffixes, prefixes):
+        assert (suffix[ps.pred[known]] == prefix).all()
+    assert (ps.pred[ps.lens < ps.k] == -1).all()
+
+
+@pytest.mark.parametrize("k", REPEAT_KS)
+def test_repeat_rich_pieces(k):
+    rng = Random(900 + k)
+    for _ in range(3):
+        pieces = motif_pieces(k, rng)
+        check_pred(pack_pieces(pieces, k))
+        check_against_oracle(pieces, k)
+
+
+def occurrence_pieces(k, where):
+    """Eight copies of a piece x, and x's first k-mer after TC at `where`."""
+    rng = Random(k)
+    x = "".join(rng.choice("ACGT") for _ in range(k + 10))
+    pieces = [x] * 8
+    pieces.insert(where, "TC" + x[:k])
+    return pieces, x[:k]
+
+
+@pytest.mark.parametrize("k", REPEAT_KS)
+@pytest.mark.parametrize("where", (0, 4, 8))
+def test_pred_from_any_occurrence(k, where):
+    # the k-mer starts eight pieces, where it has no predecessor, and
+    # follows a C once; whichever occurrence the sort lists first, its
+    # column learns the predecessor, so it is no source and gets no padding
+    pieces, kmer = occurrence_pieces(k, where)
+    ps = pack_pieces(pieces, k)
+    check_pred(ps)
+    assert ps.pred[packed_column(ps, kmer)] >= 0
+    check_against_oracle(pieces, k)
+
+
+def multi_word_cases():
+    for k in REPEAT_KS:
+        rng = Random(900 + k)  # test_repeat_rich_pieces' draws
+        for _ in range(3):
+            yield k, motif_pieces(k, rng)
+        yield k, occurrence_pieces(k, 4)[0]
+    for k in (k for k in KS if k > 32):  # test_seeded_random_pieces' draws
+        rng = Random(k)
+        for _ in range(4):
+            yield k, random_pieces(rng, "ACGT", 2 * k + 40, rng.randint(1, 6))
+
+
+@pytest.mark.parametrize("k, pieces", multi_word_cases())
+def test_pred_and_search_give_one_matrix(k, pieces):
+    ps = pack_pieces(pieces, k)
+    assert ps.pred is not None and ps.pred.dtype == np.int32
+    assert (ps.pred >= 0).any()
+    assert (subset_rows(ps) == subset_rows(dataclasses.replace(ps, pred=None))).all()
 
 
 class TestPackKmersChecks:
