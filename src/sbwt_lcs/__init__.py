@@ -4,24 +4,18 @@ from .index import (
     ColexInterval,
     FormatError,
     SbwtIndex,
-    SubsetMatrix,
     build_index,
-    extend_right,
     load_index,
     save_index,
 )
-from .lcs_basic import decode_spectrum, initial_labels, lcs_basic
+from .lcs_basic import decode_spectrum, lcs_basic
 from .lcs_linear import lcs_linear, lcs_linear_endpoints
 from .lcs_superalphabet import lcs_super
 from .oracle import (
     SortedSpectrum,
-    colex_less,
     extended_spectrum,
-    k_prefix_set,
-    k_spectrum,
     naive_lcs,
     naive_subset_sequence,
-    source_set,
 )
 from .queries import SuffixInterval, left_contract, lookup
 from .stats import BuildStats
@@ -34,16 +28,10 @@ __all__ = [
     "FormatError",
     "SbwtIndex",
     "SortedSpectrum",
-    "SubsetMatrix",
     "SuffixInterval",
     "build_index",
-    "colex_less",
     "decode_spectrum",
-    "extend_right",
     "extended_spectrum",
-    "initial_labels",
-    "k_prefix_set",
-    "k_spectrum",
     "lcs_basic",
     "lcs_linear",
     "lcs_linear_endpoints",
@@ -54,5 +42,4 @@ __all__ = [
     "naive_lcs",
     "naive_subset_sequence",
     "save_index",
-    "source_set",
 ]

@@ -43,7 +43,7 @@ _LCS_HEADER = struct.Struct("<8sQB")
 
 # `lcs` runs basic up to this k and linear above it; the crossover comes
 # from the sweep in README.md ("Choosing the algorithm")
-AUTO_BASIC_MAX_K = 63
+AUTO_BASIC_MAX_K = 39
 
 _RC = str.maketrans("ACGT", "TGCA")
 _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")

@@ -160,14 +160,6 @@ class SbwtIndex:
             )
         )
 
-    def subset_at(self, rank: int) -> str:
-        """Alphabet-ordered subset characters of the given 1-based rank."""
-        if not 1 <= rank <= self.n:
-            raise IndexError(f"rank {rank} out of range 1..{self.n}")
-        return "".join(
-            c for ci, c in enumerate(BASES) if self.matrix.rows[ci].test(rank - 1)
-        )
-
 
 def build_index(s: SortedSpectrum) -> SbwtIndex:
     """Reference build: the subset matrix as oracle.naive_subset_sequence

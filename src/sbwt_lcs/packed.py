@@ -12,14 +12,15 @@ like A but belongs to a shorter body, which sorts first on ties.
 
 pack_pieces builds the spectrum from cleaned input pieces without going
 through strings per k-mer, and subset_rows fills its 4 x n subset matrix.
-Past k = 32 the sort permutation of the text's k-mers also names a
-predecessor column for every k-mer that follows another in a piece, as in
-Kasai et al.'s LCP construction, and subset_rows takes those as given.
-Every other row, and every row at k <= 32, is matched by sorted search
-with _find: one search on word 0, and the full key only for the queries
-that miss there. Together they are the only production build
-(`sbwt-lcs build`); index.build_index is the string reference they are
-tested against.
+Rows are sorted and deduplicated by _distinct (the text's k-mers past
+k = 32, and the padded rows) and placed among sorted rows by _find (the
+source test, the padded insertion and the matrix entries): one search on
+word 0, and _bisect of the other keys only for the queries that miss
+there. Past k = 32 the column _distinct gives each text k-mer also names
+a predecessor column for every k-mer that follows another in a piece, as
+in Kasai et al.'s LCP construction, and subset_rows takes those as given.
+Together they are the only production build (`sbwt-lcs build`);
+index.build_index is the string reference they are tested against.
 """
 
 from __future__ import annotations
@@ -99,10 +100,12 @@ def _run_starts(keys) -> np.ndarray:
     return keep
 
 
-def _sort(keys) -> np.ndarray:
-    """Indices that put the rows of the keys in key order; not stable.
+def _distinct(keys) -> tuple[int, np.ndarray]:
+    """Sort the rows of the keys in place and keep one of each.
 
-    An unstable sort on the first key orders most rows at once; only the
+    Afterwards the first m entries of every key are the distinct rows in
+    key order, and col[i] is the column of input row i among them. An
+    unstable argsort of the first key orders most rows at once; only the
     runs of rows sharing it go through np.lexsort of the other keys, keyed
     first by run.
     """
@@ -117,37 +120,18 @@ def _sort(keys) -> np.ndarray:
         run = np.cumsum(np.concatenate(([True], ~tie))[at])
         sub = order[at]
         order[at] = sub[np.lexsort([key[sub] for key in keys[:0:-1]] + [run])]
-    return order
-
-
-def _order(keys) -> np.ndarray:
-    """Indices of one row of each distinct key, in key order."""
-    order = _sort(keys)
-    return order[_run_starts([key[order] for key in keys])]
-
-
-def _search(keys, queries) -> np.ndarray:
-    """Leftmost insertion point of each query row among sorted key rows.
-
-    np.searchsorted on the first key, left and right, narrows each query
-    to the run of rows sharing it; bisection settles the other keys inside
-    those runs, which are short.
-    """
-    lo = np.searchsorted(keys[0], queries[0], side="left")
-    if len(keys) == 1:
-        return lo
-    hi = np.searchsorted(keys[0], queries[0], side="right")
-    todo = np.flatnonzero(lo < hi)
-    while len(todo):
-        mid = (lo[todo] + hi[todo]) >> 1
-        less = np.zeros(len(todo), dtype=bool)
-        for key, query in zip(keys[:0:-1], queries[:0:-1]):
-            a, b = key[mid], query[todo]
-            less = np.where(a == b, less, a < b)
-        lo[todo] = np.where(less, mid + 1, lo[todo])
-        hi[todo] = np.where(less, hi[todo], mid)
-        todo = todo[lo[todo] < hi[todo]]
-    return lo
+        del in_run, at, run, sub
+    del first, tie
+    for key in keys:
+        key[:] = key[order]
+    keep = _run_starts(keys)
+    col = np.empty(len(order), dtype=np.int32)
+    col[order] = np.cumsum(keep, dtype=np.int32) - 1
+    del order
+    m = np.count_nonzero(keep)
+    for key in keys:  # in place: a second copy of the keys would raise the peak
+        key[:m] = np.compress(keep, key)
+    return m, col
 
 
 def _drop_first(words: np.ndarray, k: int) -> list[np.ndarray]:
@@ -163,23 +147,42 @@ def _equal_at(keys, at: np.ndarray, queries) -> np.ndarray:
     return np.logical_and.reduce([key[at] == q for key, q in zip(keys, queries)])
 
 
-def _find(keys, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Exact match of query rows among sorted key rows (at least one).
+def _bisect(keys, queries, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Move each lo[j] to the leftmost insertion point of query row j among
+    key rows lo[j]..hi[j]-1, which all share the query's first key."""
+    todo = np.flatnonzero(lo < hi)
+    while len(todo):
+        mid = (lo[todo] + hi[todo]) >> 1
+        less = np.zeros(len(todo), dtype=bool)
+        for key, query in zip(keys[:0:-1], queries[:0:-1]):
+            a, b = key[mid], query[todo]
+            less = np.where(a == b, less, a < b)
+        lo[todo] = np.where(less, mid + 1, lo[todo])
+        hi[todo] = np.where(less, hi[todo], mid)
+        todo = todo[lo[todo] < hi[todo]]
+    return lo
 
-    at[j] is the first key row not below query j, or the last row if none
-    is; found[j] tells whether it equals query j. One left np.searchsorted
-    on the first key lands on the first row sharing it, which is the match
-    for most queries. Only the queries that miss there, where rows tie on
-    the first key, go through _search on all keys.
+
+def _find(keys, queries) -> tuple[np.ndarray, np.ndarray]:
+    """Leftmost insertion point of each query row among sorted key rows.
+
+    at[j] is the first key row not below query j (len(keys[0]) if none
+    is), and found[j] tells whether that row equals query j. One left
+    np.searchsorted on the first key lands on the first row sharing it,
+    which is the answer for most queries. Only the queries that miss there
+    while other rows share their first key go through _bisect.
     """
+    at = np.searchsorted(keys[0], queries[0], side="left")
     last = len(keys[0]) - 1
-    at = np.minimum(np.searchsorted(keys[0], queries[0], side="left"), last)
-    found = _equal_at(keys, at, queries)
+    if last < 0:
+        return at, np.zeros(len(at), dtype=bool)
+    found = _equal_at(keys, np.minimum(at, last), queries)
     miss = np.flatnonzero(~found)
-    if len(miss):
+    if len(keys) > 1 and len(miss):
         rest = [query[miss] for query in queries]
-        at[miss] = np.minimum(_search(keys, rest), last)
-        found[miss] = _equal_at(keys, at[miss], rest)
+        hi = np.searchsorted(keys[0], rest[0], side="right")
+        at[miss] = _bisect(keys, rest, at[miss], hi)
+        found[miss] = _equal_at(keys, np.minimum(at[miss], last), rest)
     return at, found
 
 
@@ -223,16 +226,7 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
         kmers = np.compress(_run_starts(kmers), kmers, axis=1)
     else:
         kmers = _rows(win, ends, k, nw)
-        order = _sort(kmers)
-        for w in range(nw):
-            kmers[w] = kmers[w][order]
-        keep = _run_starts(kmers)
-        col = np.empty(len(order), dtype=np.int32)  # column of the k-mer ending at ends[e]
-        col[order] = np.cumsum(keep, dtype=np.int32) - 1
-        del order
-        m = np.count_nonzero(keep)
-        for w in range(nw):  # in place: a second (nw, M) array would raise the peak
-            kmers[w, :m] = np.compress(keep, kmers[w])
+        m, col = _distinct(kmers)  # col: column of the k-mer ending at ends[e]
         kmers = kmers[:, :m]
         # the k-mer ending one position earlier in the same piece is a predecessor
         link = np.flatnonzero(ends[1:] - ends[:-1] == 1)
@@ -248,15 +242,15 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     del suffixes, prefixes
     sources = heads[~has_pred]
 
-    # the root, and $^(k-i) x[:i] for i = 1..k-1 of each source x; _order drops repeats
+    # the root, and $^(k-i) x[:i] for i = 1..k-1 of each source x; _distinct drops repeats
     body = np.tile(np.arange(1, k, dtype=np.int32), len(sources))
     pad_ends = np.repeat(sources - (k - 1), k - 1) + body - 1
     padded = np.concatenate((np.zeros((nw, 1), np.uint64), _rows(win, pad_ends, body, nw)), axis=1)
     body = np.concatenate((np.zeros(1, np.int32), body))
-    keep = _order([*padded, body])
-    padded, body = np.take(padded, keep, axis=1), body[keep]
+    m = _distinct([*padded, body])[0]
+    padded, body = padded[:, :m], body[:m]
     # a padded row goes before the k-mer it ties with: its body is shorter
-    at = _search(kmers, padded)
+    at = _find(kmers, padded)[0]
     if pred is not None:  # k-mer column c moves past the padded rows inserted at or before it
         pred += np.searchsorted(at, pred, side="right")
         pred = np.insert(pred, at, -1)
@@ -274,12 +268,13 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
     column, that is the first column of its run of equal suffixes, set for
     all those entries in one scatter. The other entries (all of them when
     pred is None) are searched for: the suffixes of colex-sorted rows are
-    themselves sorted, so _find gives the column, one chunk of entries at
-    a time. Almost every prefix matches the first suffix that carries its
-    word 0; only padded rows that tie on words and, past k = 32, rows that
-    tie on word 0 need the full-key search. Entry 0 is the root, which
-    pack_pieces puts first and alone. Raises ValueError unless every
-    searched row has such a column (the spectrum is prefix-closed).
+    themselves sorted, so the leftmost insertion point from _find is the
+    column, one chunk of entries at a time. Almost every prefix matches the
+    first suffix that carries its word 0; only padded rows that tie on
+    words and, past k = 32, rows that tie on word 0 go through _bisect.
+    Entry 0 is the root, which pack_pieces puts first and alone. Raises
+    ValueError unless every searched row has such a column (the spectrum
+    is prefix-closed).
     """
     k, words, lens, n = ps.k, ps.words, ps.lens, ps.n
     suffixes = [*_drop_first(words, k), np.minimum(lens, k - 1)]

@@ -18,12 +18,11 @@ from sbwt_lcs import (
     build_index,
     decode_spectrum,
     extended_spectrum,
-    naive_subset_sequence,
     packed,
     save_index,
 )
 from sbwt_lcs.cli import main, packed_index
-from sbwt_lcs.packed import PackedSpectrum, _find, _order, _search, pack_pieces, subset_rows
+from sbwt_lcs.packed import PackedSpectrum, _bisect, _distinct, _find, pack_pieces, subset_rows
 
 from conftest import random_instance
 
@@ -40,8 +39,6 @@ def check_against_oracle(pieces, k):
     spectrum = extended_spectrum(pieces, k)
     index = packed_index(pieces, k)
     assert decode_spectrum(index).kmers == spectrum.kmers
-    subsets = naive_subset_sequence(spectrum)
-    assert [index.subset_at(r) for r in range(1, index.n + 1)] == subsets
     assert index_bytes(index) == index_bytes(build_index(spectrum))
 
 
@@ -136,30 +133,31 @@ def test_order_and_search_match_tuple_order(data, nw):
     row = st.tuples(*[WORDS] * nw, st.integers(0, 3))
     rows = data.draw(st.lists(row, max_size=40))
     table = sorted(set(rows))
-    assert [rows[i] for i in _order(as_keys(rows, nw))] == table
+    keys = as_keys(rows, nw)
+    m, col = _distinct(keys)
+    assert list(zip(*(key[:m].tolist() for key in keys))) == table
+    assert col.tolist() == [table.index(r) for r in rows]
     # absent rows (length 4 never occurs among the keys) and present ones
     query = st.tuples(*[WORDS] * nw, st.integers(0, 4))
     if table:
         query |= st.sampled_from(table)
     queries = data.draw(st.lists(query, max_size=20))
-    at = _search(as_keys(table, nw), as_keys(queries, nw))
-    assert at.tolist() == [bisect_left(table, q) for q in queries]
-    if table:
-        at, found = _find(as_keys(table, nw), as_keys(queries, nw))
-        want = [min(bisect_left(table, q), len(table) - 1) for q in queries]
+    for sorted_rows in (table, []):
+        at, found = _find(as_keys(sorted_rows, nw), as_keys(queries, nw))
+        want = [bisect_left(sorted_rows, q) for q in queries]
         assert at.tolist() == want
-        assert found.tolist() == [table[i] == q for i, q in zip(want, queries)]
+        assert found.tolist() == [sorted_rows[i : i + 1] == [q] for i, q in zip(want, queries)]
 
 
-def spy_on_search(monkeypatch):
-    """Count the query rows that reach packed._search from now on."""
+def spy_on_bisect(monkeypatch):
+    """Count the query rows that reach packed._bisect from now on."""
     seen = []
 
-    def spy(keys, queries):
+    def spy(keys, queries, lo, hi):
         seen.append(len(queries[0]))
-        return _search(keys, queries)
+        return _bisect(keys, queries, lo, hi)
 
-    monkeypatch.setattr(packed, "_search", spy)
+    monkeypatch.setattr(packed, "_bisect", spy)
     return seen
 
 
@@ -184,12 +182,12 @@ def tied_pieces(k, rng):
 
 @pytest.mark.parametrize("k", (31, 32, 33, 64))
 def test_word_ties_take_the_full_key_search(monkeypatch, k):
-    # a word-0 hit whose other keys differ falls back to _search, which must
+    # a word-0 hit whose other keys differ falls back to _bisect, which must
     # still place the edge bit on the first column of the matching run
     pieces = tied_pieces(k, Random(500 + k))
     # without pred every row searches, as at k <= 32
     ps = dataclasses.replace(pack_pieces(pieces, k), pred=None)
-    seen = spy_on_search(monkeypatch)
+    seen = spy_on_bisect(monkeypatch)
     index = SbwtIndex(k, ps.n, subset_rows(ps))
     assert sum(seen) > 0
     assert index_bytes(index) == index_bytes(build_index(extended_spectrum(pieces, k)))
@@ -216,7 +214,7 @@ def test_missing_row_found_only_after_the_fallback(monkeypatch, k, drop):
     ps = pack_pieces(pieces, k)
     gone = packed_column(ps, heads[drop] + tail)
     gapped = PackedSpectrum(k, np.delete(ps.words, gone, axis=1), np.delete(ps.lens, gone))
-    seen = spy_on_search(monkeypatch)
+    seen = spy_on_bisect(monkeypatch)
     with pytest.raises(ValueError, match="not prefix-closed at base " + "GT"[drop]):
         subset_rows(gapped)
     assert sum(seen) > 0

@@ -8,20 +8,47 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import sbwt_lcs
 from sbwt_lcs import (
     FormatError,
     SortedSpectrum,
     build_index,
-    extend_right,
     extended_spectrum,
     load_index,
     save_index,
 )
 from sbwt_lcs.alphabet import BASES
-from sbwt_lcs.index import MAGIC, MAX_K, Bitvector, ColexInterval, SbwtIndex
+from sbwt_lcs.index import MAGIC, MAX_K, Bitvector, ColexInterval, SbwtIndex, extend_right
 from sbwt_lcs.lcs_basic import lcs_basic
 
 from conftest import WORKED_MATRIX_ROWS, random_instance, suffix_intervals
+
+
+def test_package_surface():
+    # the CLI and query surface, and the names the acceptance checks import
+    assert sorted(sbwt_lcs.__all__) == [
+        "BuildStats",
+        "ColexInterval",
+        "FormatError",
+        "SbwtIndex",
+        "SortedSpectrum",
+        "SuffixInterval",
+        "build_index",
+        "decode_spectrum",
+        "extended_spectrum",
+        "lcs_basic",
+        "lcs_linear",
+        "lcs_linear_endpoints",
+        "lcs_super",
+        "left_contract",
+        "load_index",
+        "lookup",
+        "naive_lcs",
+        "naive_subset_sequence",
+        "save_index",
+    ]
+    for name in sbwt_lcs.__all__:
+        assert callable(getattr(sbwt_lcs, name)), name
 
 
 def bitvector(bits):

@@ -11,12 +11,12 @@ from sbwt_lcs import (
     build_index,
     decode_spectrum,
     extended_spectrum,
-    initial_labels,
     lcs_basic,
     lcs_super,
     naive_lcs,
 )
 from sbwt_lcs.alphabet import decode
+from sbwt_lcs.lcs_basic import initial_labels
 from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, random_instance

@@ -9,12 +9,11 @@ import pytest
 from sbwt_lcs import (
     build_index,
     extended_spectrum,
-    initial_labels,
     lcs_basic,
     lcs_super,
     naive_lcs,
 )
-from sbwt_lcs.lcs_basic import step_map
+from sbwt_lcs.lcs_basic import initial_labels, step_map
 from sbwt_lcs.lcs_superalphabet import MAX_WIDTH
 from sbwt_lcs.stats import BuildStats
 

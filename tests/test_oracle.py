@@ -8,15 +8,11 @@ from hypothesis import strategies as st
 
 from sbwt_lcs import (
     SortedSpectrum,
-    colex_less,
     extended_spectrum,
-    k_prefix_set,
-    k_spectrum,
     naive_lcs,
     naive_subset_sequence,
-    source_set,
 )
-from sbwt_lcs.oracle import suffix_match_len
+from sbwt_lcs.oracle import colex_less, k_prefix_set, k_spectrum, source_set, suffix_match_len
 
 from conftest import WORKED_KMERS, WORKED_LCS, WORKED_STRINGS, WORKED_SUBSETS
 

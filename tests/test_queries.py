@@ -14,13 +14,13 @@ from sbwt_lcs import (
     SbwtIndex,
     SuffixInterval,
     build_index,
-    extend_right,
     extended_spectrum,
     lcs_basic,
     left_contract,
     lookup,
     naive_lcs,
 )
+from sbwt_lcs.index import extend_right
 
 from conftest import moved_bit_index, random_instance, suffix_intervals
 
