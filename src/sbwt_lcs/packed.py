@@ -3,12 +3,19 @@
 A row is a k-mer, or a $-padded prefix of one: its symbols as 2-bit codes
 (A=0 .. T=3) packed into 64-bit words with the last symbol most
 significant, plus the length of its unpadded body. Word 0 holds the last
-32 symbols, word 1 the 32 before them, and so on; arrays are word-major,
-so words[w] is one word of every row and k <= 32 needs a single word.
-A sort key is a sequence of equal-length 1-D arrays, compared first to
-last: the words, word 0 first, then the body length wherever rows can tie
-on words. Key order is colexicographic order over $ACGT, because a $ packs
-like A but belongs to a shorter body, which sorts first on ties.
+32 symbols, word 1 the 32 before them, and so on, so k <= 32 needs a
+single word. A row's keys, compared first to last, are its words, word 0
+first, then its body length wherever rows can tie on words. Key order is
+colexicographic order over $ACGT, because a $ packs like A but belongs to
+a shorter body, which sorts first on ties.
+
+Every body is a substring of the input text, so a row need not keep its
+words: it is the end position of its body in the text and the body
+length, and word w is win[end - 32w] masked to the body, where win[q]
+holds the 32 symbols ending at position q (Rows). Past k = 32 no step
+holds every word of every row: word 0 is gathered for all rows, and each
+later key only for the rows that still tie on the keys before it. At
+k <= 32 the text's k-mers keep their one word, which np.sort orders.
 
 pack_pieces builds the spectrum from cleaned input pieces without going
 through strings per k-mer, and subset_rows fills its 4 x n subset matrix.
@@ -39,6 +46,71 @@ _TOP = np.uint64(62)
 _CHUNK = 1 << 16
 
 
+def _top_mask(symbols):
+    """Word mask keeping the top `symbols` (<= 32; none if <= 0) codes; scalar or array."""
+    symbols = np.asarray(symbols, dtype=np.int64)
+    shift = np.minimum(64 - 2 * symbols, 63).astype(np.uint64)
+    return np.where(symbols > 0, _ALL << shift, np.uint64(0))
+
+
+def _same(length: int, n: int) -> np.ndarray:
+    """n equal body lengths as a read-only view of one value."""
+    return np.broadcast_to(np.int32(length), (n,))
+
+
+@dataclass(frozen=True)
+class Rows:
+    """Packed rows whose keys are gathered when a step needs them.
+
+    With ends set, row i is the body of lens[i] symbols ending at text
+    position ends[i], and win[q] holds the min(k, 32) or more symbols
+    ending at q, symbol q on top. With ends None, row i is the single word
+    win[i], masked to its body already.
+    """
+
+    win: np.ndarray  # uint64
+    ends: np.ndarray | None  # (n,) int64, or None
+    lens: np.ndarray  # (n,) int32 body lengths
+    nw: int  # words per row
+
+    def word(self, w: int, sel=slice(None)) -> np.ndarray:
+        """Word w of the selected rows (a slice or an index array)."""
+        if self.ends is None:
+            return self.win[sel]
+        at = self.ends[sel]
+        if w:  # only a body too short to reach word w can start after position 32w
+            at = np.maximum(at - 32 * w, 0)
+        out = self.win[at]  # an empty prefix ends at -1 and reads the last window: masked
+        del at
+        lens = self.lens[sel]
+        part = np.flatnonzero(lens < 32 * (w + 1))
+        if len(part):
+            out[part] &= _top_mask(lens[part] - 32 * w)
+        return out
+
+    def key(self, j: int, sel=slice(None)) -> np.ndarray:
+        """Key j of the selected rows: word j, or the body length at j = nw."""
+        return self.word(j, sel) if j < self.nw else self.lens[sel]
+
+    def take(self, sel) -> Rows:
+        if self.ends is None:
+            return Rows(self.win[sel], None, self.lens[sel], self.nw)
+        return Rows(self.win, self.ends[sel], self.lens[sel], self.nw)
+
+    def suffixes(self, k: int) -> Rows:
+        """(k-1)-suffixes of the rows: a body of k symbols loses its first."""
+        lens = np.minimum(self.lens, k - 1)
+        if self.ends is None:
+            return Rows(self.win & _top_mask(k - 1), None, lens, self.nw)
+        return Rows(self.win, self.ends, lens, self.nw)
+
+    def prefixes(self, sel) -> Rows:
+        """The selected rows without their last symbol."""
+        if self.ends is None:  # every code moves one place up
+            return Rows(self.win[sel] << np.uint64(2), None, self.lens[sel] - 1, self.nw)
+        return Rows(self.win, self.ends[sel] - 1, self.lens[sel] - 1, self.nw)
+
+
 @dataclass(frozen=True)
 class PackedSpectrum:
     """An extended k-spectrum as packed rows in strictly increasing colex order.
@@ -49,24 +121,16 @@ class PackedSpectrum:
     """
 
     k: int
-    words: np.ndarray  # (nwords, n) uint64
-    lens: np.ndarray  # (n,) int32 body lengths; only the all-$ root, first, has 0
+    rows: Rows  # text positions past k = 32, words at k <= 32; the all-$ root first
     pred: np.ndarray | None = None  # (n,) int32, or None: search every row
 
     @property
     def n(self) -> int:
-        return len(self.lens)
+        return len(self.rows.lens)
 
 
 def _nwords(k: int) -> int:
     return (k + 31) // 32
-
-
-def _top_mask(symbols):
-    """Word mask keeping the top `symbols` (0..32) codes; scalar or array."""
-    symbols = np.asarray(symbols, dtype=np.int64)
-    shift = np.minimum(64 - 2 * symbols, 63).astype(np.uint64)
-    return np.where(symbols > 0, _ALL << shift, np.uint64(0))
 
 
 def _windows(codes: np.ndarray, span: int) -> np.ndarray:
@@ -83,114 +147,119 @@ def _windows(codes: np.ndarray, span: int) -> np.ndarray:
     return win
 
 
-def _rows(win: np.ndarray, ends: np.ndarray, lens, nw: int) -> np.ndarray:
-    """Packed rows of the bodies of the given lengths ending at `ends`."""
-    out = np.empty((nw, len(ends)), dtype=np.uint64)
-    for w in range(nw):
-        out[w] = win[np.maximum(ends - 32 * w, 0)] & _top_mask(np.clip(lens - 32 * w, 0, 32))
-    return out
+def _run_starts(key0: np.ndarray, rows: Rows | None = None, nkeys: int = 1) -> np.ndarray:
+    """Mask of the sorted rows that differ from their predecessor.
 
-
-def _run_starts(keys) -> np.ndarray:
-    """Mask of the rows of sorted keys that differ from their predecessor."""
-    keep = np.zeros(len(keys[0]), dtype=bool)
-    for key in keys:
-        keep[1:] |= key[1:] != key[:-1]
-    keep[:1] = True
-    return keep
-
-
-def _distinct(keys) -> tuple[int, np.ndarray]:
-    """Sort the rows of the keys in place and keep one of each.
-
-    Afterwards the first m entries of every key are the distinct rows in
-    key order, and col[i] is the column of input row i among them. An
-    unstable argsort of the first key orders most rows at once; only the
-    runs of rows sharing it go through np.lexsort of the other keys, keyed
-    first by run.
+    key0 is word 0 of every row; each later key is compared only for the
+    rows that tie with their predecessor on the keys before it.
     """
-    order = np.argsort(keys[0])
-    first = keys[0][order]
-    tie = first[1:] == first[:-1]
-    if len(keys) > 1 and tie.any():
-        in_run = np.zeros(len(order), dtype=bool)
+    new = np.empty(len(key0), dtype=bool)
+    new[:1] = True
+    new[1:] = key0[1:] != key0[:-1]
+    tie = np.flatnonzero(~new)
+    for j in range(1, nkeys):
+        if not len(tie):
+            break
+        differ = rows.key(j, tie) != rows.key(j, tie - 1)
+        new[tie[differ]] = True
+        tie = tie[~differ]
+    return new
+
+
+def _distinct(rows: Rows, nkeys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sort rows on their first nkeys keys and keep one of each.
+
+    Returns first, one row of each distinct key in key order, and col,
+    where col[i] is the position of row i's key in first. An unstable
+    argsort of word 0 orders most rows at once. Each later key is gathered
+    only for the runs of rows that still tie, which np.lexsort orders
+    within their run; the runs that remain after the last key are the
+    duplicates.
+    """
+    key = rows.word(0)
+    order = np.argsort(key)
+    key = key[order]
+    new = np.empty(len(order), dtype=bool)
+    new[:1] = True
+    new[1:] = key[1:] != key[:-1]
+    del key
+    at = np.arange(len(order))
+    for j in range(1, nkeys):
+        # narrow at to the sorted positions in a run of rows tied on keys 0..j-1
+        tie = ~new[at[1:]]
+        in_run = np.zeros(len(at), dtype=bool)
         in_run[1:] = tie
         in_run[:-1] |= tie
-        at = np.flatnonzero(in_run)
-        run = np.cumsum(np.concatenate(([True], ~tie))[at])
+        at = at[in_run]
+        if not len(at):
+            break
         sub = order[at]
-        order[at] = sub[np.lexsort([key[sub] for key in keys[:0:-1]] + [run])]
-        del in_run, at, run, sub
-    del first, tie
-    for key in keys:
-        key[:] = key[order]
-    keep = _run_starts(keys)
+        key = rows.key(j, sub)
+        if not (~new[at[1:]] & (key[1:] != key[:-1])).any():
+            continue  # key j splits no run: the order stands
+        perm = np.lexsort((key, np.cumsum(new[at])))
+        order[at], key = sub[perm], key[perm]
+        new[at[1:]] |= key[1:] != key[:-1]
+    del at
     col = np.empty(len(order), dtype=np.int32)
-    col[order] = np.cumsum(keep, dtype=np.int32) - 1
-    del order
-    m = np.count_nonzero(keep)
-    for key in keys:  # in place: a second copy of the keys would raise the peak
-        key[:m] = np.compress(keep, key)
-    return m, col
+    col[order] = np.cumsum(new, dtype=np.int32) - 1
+    return order[new], col
 
 
-def _drop_first(words: np.ndarray, k: int) -> list[np.ndarray]:
-    """(k-1)-suffixes of k-symbol rows: the first symbol is the lowest code.
-
-    Only the last word changes, so the others are shared, not copied.
-    """
-    return [*words[:-1], words[-1] & _top_mask(k - 1 - 32 * (len(words) - 1))]
-
-
-def _equal_at(keys, at: np.ndarray, queries) -> np.ndarray:
-    """Whether key row at[j] equals query row j, for every j."""
-    return np.logical_and.reduce([key[at] == q for key, q in zip(keys, queries)])
+def _equal(keys: Rows, at: np.ndarray, queries: Rows, nkeys: int) -> np.ndarray:
+    """Whether key row at[j] equals query row j on the first nkeys keys."""
+    equal = keys.word(0, at) == queries.word(0)
+    same = np.flatnonzero(equal)
+    for j in range(1, nkeys):
+        differ = keys.key(j, at[same]) != queries.key(j, same)
+        equal[same[differ]] = False
+        same = same[~differ]
+    return equal
 
 
-def _bisect(keys, queries, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+def _bisect(keys: Rows, queries: Rows, lo: np.ndarray, hi: np.ndarray, nkeys: int) -> np.ndarray:
     """Move each lo[j] to the leftmost insertion point of query row j among
-    key rows lo[j]..hi[j]-1, which all share the query's first key."""
+    key rows lo[j]..hi[j]-1, which all share the query's word 0."""
     todo = np.flatnonzero(lo < hi)
     while len(todo):
         mid = (lo[todo] + hi[todo]) >> 1
         less = np.zeros(len(todo), dtype=bool)
-        for key, query in zip(keys[:0:-1], queries[:0:-1]):
-            a, b = key[mid], query[todo]
-            less = np.where(a == b, less, a < b)
+        tied = np.arange(len(todo))
+        for j in range(1, nkeys):  # key 0 ties; decide on the first key that differs
+            a, b = keys.key(j, mid[tied]), queries.key(j, todo[tied])
+            less[tied] = a < b
+            tied = tied[a == b]
+            if not len(tied):
+                break
         lo[todo] = np.where(less, mid + 1, lo[todo])
         hi[todo] = np.where(less, hi[todo], mid)
         todo = todo[lo[todo] < hi[todo]]
     return lo
 
 
-def _find(keys, queries) -> tuple[np.ndarray, np.ndarray]:
-    """Leftmost insertion point of each query row among sorted key rows.
+def _find(keys: Rows, key0: np.ndarray, queries: Rows, nkeys: int) -> tuple[np.ndarray, np.ndarray]:
+    """Leftmost insertion point of each query row among sorted key rows,
+    comparing their first nkeys keys; key0 is word 0 of every key row.
 
-    at[j] is the first key row not below query j (len(keys[0]) if none
-    is), and found[j] tells whether that row equals query j. One left
-    np.searchsorted on the first key lands on the first row sharing it,
-    which is the answer for most queries. Only the queries that miss there
-    while other rows share their first key go through _bisect.
+    at[j] is the first key row not below query j (len(key0) if none is),
+    and found[j] tells whether that row equals query j. One left
+    np.searchsorted on word 0 lands on the first row sharing it, which is
+    the answer for most queries. Only the queries that miss there while
+    other rows share their word 0 go through _bisect.
     """
-    at = np.searchsorted(keys[0], queries[0], side="left")
-    last = len(keys[0]) - 1
+    q0 = queries.word(0)
+    at = np.searchsorted(key0, q0, side="left")
+    last = len(key0) - 1
     if last < 0:
         return at, np.zeros(len(at), dtype=bool)
-    found = _equal_at(keys, np.minimum(at, last), queries)
+    found = _equal(keys, np.minimum(at, last), queries, nkeys)
     miss = np.flatnonzero(~found)
-    if len(keys) > 1 and len(miss):
-        rest = [query[miss] for query in queries]
-        hi = np.searchsorted(keys[0], rest[0], side="right")
-        at[miss] = _bisect(keys, rest, at[miss], hi)
-        found[miss] = _equal_at(keys, np.minimum(at[miss], last), rest)
+    if nkeys > 1 and len(miss):
+        rest = queries.take(miss)
+        hi = np.searchsorted(key0, q0[miss], side="right")
+        at[miss] = _bisect(keys, rest, at[miss], hi, nkeys)
+        found[miss] = _equal(keys, np.minimum(at[miss], last), rest, nkeys)
     return at, found
-
-
-def _drop_last(words: np.ndarray) -> np.ndarray:
-    """Rows without their last symbol: every code moves one place up."""
-    out = words << np.uint64(2)
-    out[:-1] |= words[1:] >> _TOP
-    return out
 
 
 def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
@@ -215,48 +284,58 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     del text
     lengths = np.fromiter(map(len, pieces), dtype=np.int64, count=len(pieces))
     starts = np.cumsum(lengths) - lengths
-    win = _windows(sym, min(k, 32))
-    del sym
-    offset = np.arange(len(win), dtype=np.int64) - np.repeat(starts, lengths)
+    offset = np.arange(len(sym), dtype=np.int64) - np.repeat(starts, lengths)
     ends = np.flatnonzero(offset >= k - 1)  # the last position of every k-mer
+    if nw > 1:  # whether the k-mer ending one position earlier is in the same piece
+        follows = offset[ends[1:]] >= k
     del offset
+    # the root's body ends at position 0, even in an empty text
+    win = _windows(sym, min(k, 32)) if len(sym) else np.zeros(1, dtype=np.uint64)
+    del sym
     pred = None
     if nw == 1:  # np.sort is much faster than np.unique or a stable sort
-        kmers = np.sort(win[ends] & _top_mask(k))[np.newaxis]
-        kmers = np.compress(_run_starts(kmers), kmers, axis=1)
+        words = np.sort(win[ends] & _top_mask(k))
+        words = np.compress(_run_starts(words), words)
+        kmers = Rows(words, None, _same(k, len(words)), 1)
     else:
-        kmers = _rows(win, ends, k, nw)
-        m, col = _distinct(kmers)  # col: column of the k-mer ending at ends[e]
-        kmers = kmers[:, :m]
-        # the k-mer ending one position earlier in the same piece is a predecessor
-        link = np.flatnonzero(ends[1:] - ends[:-1] == 1)
-        pred = np.full(kmers.shape[1], -1, dtype=np.int32)
-        pred[col[link + 1]] = col[link]
-        del col, link
+        first, col = _distinct(Rows(win, ends, _same(k, len(ends)), nw), nw)
+        pred = np.full(len(first), -1, dtype=np.int32)
+        pred[col[1:][follows]] = col[:-1][follows]  # that k-mer is a predecessor
+        del col, follows
+        kmers = Rows(win, ends[first], _same(k, len(first)), nw)
+        del first
     del ends
+    m = len(kmers.lens)
+    key0 = kmers.word(0)  # a view at k <= 32
 
     heads = starts[lengths >= k] + k - 1  # end of the first k-mer of each piece
-    suffixes = _drop_first(kmers, k)
-    prefixes = _rows(win, heads - 1, k - 1, nw)
-    has_pred = _find(suffixes, prefixes)[1]
+    prefixes = Rows(win, heads - 1, _same(k - 1, len(heads)), nw)
+    if nw == 1:
+        suffixes = Rows(key0 & _top_mask(k - 1), None, _same(k - 1, m), 1)
+    else:  # past k = 32 a k-mer's (k-1)-suffix keeps its word 0
+        suffixes = Rows(win, kmers.ends, _same(k - 1, m), nw)
+    has_pred = _find(suffixes, suffixes.win if nw == 1 else key0, prefixes, nw)[1]
     del suffixes, prefixes
     sources = heads[~has_pred]
 
     # the root, and $^(k-i) x[:i] for i = 1..k-1 of each source x; _distinct drops repeats
     body = np.tile(np.arange(1, k, dtype=np.int32), len(sources))
     pad_ends = np.repeat(sources - (k - 1), k - 1) + body - 1
-    padded = np.concatenate((np.zeros((nw, 1), np.uint64), _rows(win, pad_ends, body, nw)), axis=1)
-    body = np.concatenate((np.zeros(1, np.int32), body))
-    m = _distinct([*padded, body])[0]
-    padded, body = padded[:, :m], body[:m]
+    root = np.zeros(1, dtype=np.int32)
+    padded = Rows(win, np.concatenate((root, pad_ends)), np.concatenate((root, body)), nw)
+    del root, body, pad_ends
+    padded = padded.take(_distinct(padded, nw + 1)[0])
     # a padded row goes before the k-mer it ties with: its body is shorter
-    at = _find(kmers, padded)[0]
-    if pred is not None:  # k-mer column c moves past the padded rows inserted at or before it
+    at = _find(kmers, key0, padded, nw)[0]
+    del key0
+    lens = np.insert(np.full(m, k, dtype=np.int32), at, padded.lens)
+    if pred is None:
+        rows = Rows(np.insert(kmers.win, at, padded.word(0)), None, lens, 1)
+    else:  # k-mer column c moves past the padded rows inserted at or before it
         pred += np.searchsorted(at, pred, side="right")
         pred = np.insert(pred, at, -1)
-    words = np.insert(kmers, at, padded, axis=1)
-    lens = np.insert(np.full(kmers.shape[1], k, dtype=np.int32), at, body)
-    return PackedSpectrum(k, words, lens, pred)
+        rows = Rows(win, np.insert(kmers.ends, at, padded.ends), lens, nw)
+    return PackedSpectrum(k, rows, pred)
 
 
 def subset_rows(ps: PackedSpectrum) -> np.ndarray:
@@ -276,27 +355,30 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
     ValueError unless every searched row has such a column (the spectrum
     is prefix-closed).
     """
-    k, words, lens, n = ps.k, ps.words, ps.lens, ps.n
-    suffixes = [*_drop_first(words, k), np.minimum(lens, k - 1)]
-    rows = np.zeros((4, n), dtype=bool)
+    k, rows, n = ps.k, ps.rows, ps.n
+    nkeys = rows.nw + 1
+    suffixes = rows.suffixes(k)
+    key0 = suffixes.word(0)
+    # a row's last symbol is the top one of its word 0, and past k = 32 of its suffix's
+    tops = rows.word(0) if rows.ends is None else key0
+    bits = np.zeros((4, n), dtype=bool)
     if ps.pred is not None:
         # head[c]: the first column of c's (k-1)-suffix run
-        head = np.where(_run_starts(suffixes), np.arange(n, dtype=np.int32), 0)
+        head = np.arange(n, dtype=np.int32)
+        head[~_run_starts(key0, suffixes, nkeys)] = 0
         np.maximum.accumulate(head, out=head)
-        known = np.flatnonzero(ps.pred >= 0)
-        rows[(words[0, known] >> _TOP).astype(np.uint8), head[ps.pred[known]]] = True
-        del head, known
     for start in range(1, n, _CHUNK):
-        chunk = slice(start, start + _CHUNK)
-        part, body = words[:, chunk], lens[chunk]
+        search = slice(start, start + _CHUNK)
+        last = (tops[search] >> _TOP).astype(np.intp)
         if ps.pred is not None:
-            search = ps.pred[chunk] < 0
-            part, body = np.compress(search, part, axis=1), body[search]
-        prefixes = [*_drop_last(part), body - 1]
-        at, found = _find(suffixes, prefixes)
-        last = (part[0] >> _TOP).astype(np.intp)
+            pred = ps.pred[search]
+            known = pred >= 0
+            bits[last[known], head[pred[known]]] = True
+            search = np.flatnonzero(~known) + start
+            last = last[~known]
+        at, found = _find(suffixes, key0, rows.prefixes(search), nkeys)
         if not found.all():
             c = int(last[np.argmin(found)])
             raise ValueError(f"spectrum is not prefix-closed at base {BASES[c]}")
-        rows[last, at] = True
-    return np.packbits(rows, axis=1, bitorder="little")
+        bits[last, at] = True
+    return np.packbits(bits, axis=1, bitorder="little")

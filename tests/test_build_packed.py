@@ -4,6 +4,7 @@ and through the CLI, and build_index's own input checks."""
 import dataclasses
 import io
 import re
+import tracemalloc
 from bisect import bisect_left
 from random import Random
 
@@ -21,8 +22,17 @@ from sbwt_lcs import (
     packed,
     save_index,
 )
+from sbwt_lcs.alphabet import ROW_OF
 from sbwt_lcs.cli import main, packed_index
-from sbwt_lcs.packed import PackedSpectrum, _bisect, _distinct, _find, pack_pieces, subset_rows
+from sbwt_lcs.packed import (
+    PackedSpectrum,
+    Rows,
+    _bisect,
+    _distinct,
+    _find,
+    pack_pieces,
+    subset_rows,
+)
 
 from conftest import random_instance
 
@@ -117,45 +127,62 @@ def test_rejects_low_control_byte():
         pack_pieces(["AC\x01G"], 2)
 
 
-# few values, so that rows often tie on word 0; two have the top bit set
-WORDS = st.sampled_from([0, 1, 2, 1 << 63, (1 << 64) - 1])
+# 32-symbol blocks that tie often: A-runs read like $-padding, and C or T at either end
+BLOCKS = ("A" * 32, "A" * 31 + "C", "C" + "A" * 31, "T" * 32)
 
 
-def as_keys(rows, nw):
-    """Tuples (word 0, .., word nw-1, length) as nw uint64 keys and an int32 key."""
-    cols = list(zip(*rows)) or [()] * (nw + 1)
-    return [np.array(c, dtype=np.uint64) for c in cols[:nw]] + [np.array(cols[nw], np.int32)]
+def block_body(nw):
+    """Bodies of up to 32 * nw symbols from BLOCKS, at lengths around the word boundaries."""
+    size = 32 * nw
+    lengths = sorted({0, 1, 31, 32, 33, size - 1, size} & set(range(size + 1)))
+    blocks = st.lists(st.sampled_from(BLOCKS), min_size=nw, max_size=nw)
+    return st.builds(lambda b, n: "".join(b)[size - n :], blocks, st.sampled_from(lengths))
+
+
+def colex(body, nw):
+    """Colex sort key over $ACGT of the body $-padded to 32 * nw symbols."""
+    return ("$" * (32 * nw - len(body)) + body)[::-1].translate(str.maketrans("$ACGT", "01234"))
+
+
+def as_rows(bodies, nw):
+    """Packed rows of the bodies, each at the end of a 32 * nw symbol block led by Gs."""
+    size = 32 * nw
+    text = "".join("G" * (size - len(b)) + b for b in bodies)
+    codes = np.frombuffer(text.encode("ascii").translate(ROW_OF), dtype=np.uint8)
+    ends = np.arange(1, len(bodies) + 1, dtype=np.int64) * size - 1
+    lens = np.array([len(b) for b in bodies], dtype=np.int32)
+    return Rows(packed._windows(codes, 32), ends, lens, nw)
 
 
 @settings(max_examples=150, deadline=None)
 @given(data=st.data(), nw=st.integers(1, 3))
 def test_order_and_search_match_tuple_order(data, nw):
-    row = st.tuples(*[WORDS] * nw, st.integers(0, 3))
-    rows = data.draw(st.lists(row, max_size=40))
-    table = sorted(set(rows))
-    keys = as_keys(rows, nw)
-    m, col = _distinct(keys)
-    assert list(zip(*(key[:m].tolist() for key in keys))) == table
-    assert col.tolist() == [table.index(r) for r in rows]
-    # absent rows (length 4 never occurs among the keys) and present ones
-    query = st.tuples(*[WORDS] * nw, st.integers(0, 4))
+    bodies = data.draw(st.lists(block_body(nw), max_size=40))
+    table = sorted(set(bodies), key=lambda b: colex(b, nw))
+    first, col = _distinct(as_rows(bodies, nw), nw + 1)
+    assert [bodies[i] for i in first.tolist()] == table
+    assert col.tolist() == [table.index(b) for b in bodies]
+    # rows absent from the table, and present ones
+    query = block_body(nw)
     if table:
         query |= st.sampled_from(table)
     queries = data.draw(st.lists(query, max_size=20))
-    for sorted_rows in (table, []):
-        at, found = _find(as_keys(sorted_rows, nw), as_keys(queries, nw))
-        want = [bisect_left(sorted_rows, q) for q in queries]
+    for sorted_bodies in (table, []):
+        keys = as_rows(sorted_bodies, nw)
+        at, found = _find(keys, keys.word(0), as_rows(queries, nw), nw + 1)
+        order = [colex(b, nw) for b in sorted_bodies]
+        want = [bisect_left(order, colex(q, nw)) for q in queries]
         assert at.tolist() == want
-        assert found.tolist() == [sorted_rows[i : i + 1] == [q] for i, q in zip(want, queries)]
+        assert found.tolist() == [sorted_bodies[i : i + 1] == [q] for i, q in zip(want, queries)]
 
 
 def spy_on_bisect(monkeypatch):
     """Count the query rows that reach packed._bisect from now on."""
     seen = []
 
-    def spy(keys, queries, lo, hi):
-        seen.append(len(queries[0]))
-        return _bisect(keys, queries, lo, hi)
+    def spy(keys, queries, lo, hi, nkeys):
+        seen.append(len(lo))
+        return _bisect(keys, queries, lo, hi, nkeys)
 
     monkeypatch.setattr(packed, "_bisect", spy)
     return seen
@@ -193,12 +220,12 @@ def test_word_ties_take_the_full_key_search(monkeypatch, k):
     assert index_bytes(index) == index_bytes(build_index(extended_spectrum(pieces, k)))
 
 
-def packed_column(ps, kmer):
-    """Column of the k-mer (unpadded body) in a packed spectrum."""
-    one = pack_pieces([kmer], ps.k)
-    word = one.words[:, one.lens == ps.k]
-    hit = (ps.words == word).all(axis=0) & (ps.lens == ps.k)
-    return int(np.flatnonzero(hit)[0])
+def row_strings(ps, pieces):
+    """Each row of a spectrum packed past k = 32 as a $-padded string, read
+    from the text at its end position."""
+    text, k = "".join(pieces), ps.k
+    rows = zip(ps.rows.ends.tolist(), ps.rows.lens.tolist())
+    return ["$" * (k - n) + text[e - n + 1 : e + 1] for e, n in rows]
 
 
 @pytest.mark.parametrize("k", (40, 64))
@@ -212,8 +239,8 @@ def test_missing_row_found_only_after_the_fallback(monkeypatch, k, drop):
     heads = ("C" + "A" * (k - 34), "C" + "T" * (k - 34))
     pieces = [heads[0] + tail + "G", heads[1] + tail + "T"]
     ps = pack_pieces(pieces, k)
-    gone = packed_column(ps, heads[drop] + tail)
-    gapped = PackedSpectrum(k, np.delete(ps.words, gone, axis=1), np.delete(ps.lens, gone))
+    gone = row_strings(ps, pieces).index(heads[drop] + tail)
+    gapped = PackedSpectrum(k, ps.rows.take(np.delete(np.arange(ps.n), gone)))
     seen = spy_on_bisect(monkeypatch)
     with pytest.raises(ValueError, match="not prefix-closed at base " + "GT"[drop]):
         subset_rows(gapped)
@@ -250,15 +277,16 @@ def motif_pieces(k, rng):
     return pieces
 
 
-def check_pred(ps):
-    """Each known pred column's (k-1)-suffix is its row's (k-1)-prefix;
-    the root and the padded rows have none."""
-    known = np.flatnonzero(ps.pred >= 0)
-    prefixes = [*packed._drop_last(ps.words[:, known]), ps.lens[known] - 1]
-    suffixes = [*packed._drop_first(ps.words, ps.k), np.minimum(ps.lens, ps.k - 1)]
-    for suffix, prefix in zip(suffixes, prefixes):
-        assert (suffix[ps.pred[known]] == prefix).all()
-    assert (ps.pred[ps.lens < ps.k] == -1).all()
+def check_pred(ps, pieces):
+    """The rows read from the text are the extended spectrum; each known
+    pred column's (k-1)-suffix is its row's (k-1)-prefix; the root and the
+    padded rows have none."""
+    strings = row_strings(ps, pieces)
+    assert strings == list(extended_spectrum(pieces, ps.k).kmers)
+    for row, pred in enumerate(ps.pred.tolist()):
+        if pred >= 0:
+            assert strings[pred][1:] == strings[row][:-1]
+    assert (ps.pred[ps.rows.lens < ps.k] == -1).all()
 
 
 @pytest.mark.parametrize("k", REPEAT_KS)
@@ -266,7 +294,7 @@ def test_repeat_rich_pieces(k):
     rng = Random(900 + k)
     for _ in range(3):
         pieces = motif_pieces(k, rng)
-        check_pred(pack_pieces(pieces, k))
+        check_pred(pack_pieces(pieces, k), pieces)
         check_against_oracle(pieces, k)
 
 
@@ -287,9 +315,42 @@ def test_pred_from_any_occurrence(k, where):
     # column learns the predecessor, so it is no source and gets no padding
     pieces, kmer = occurrence_pieces(k, where)
     ps = pack_pieces(pieces, k)
-    check_pred(ps)
-    assert ps.pred[packed_column(ps, kmer)] >= 0
+    check_pred(ps, pieces)
+    assert ps.pred[row_strings(ps, pieces).index(kmer)] >= 0
     check_against_oracle(pieces, k)
+
+
+# five to eight words per key: the last one holds 1, 32, 1 and 31 symbols
+WIDE_KS = (129, 160, 161, 255)
+
+
+@pytest.mark.parametrize("k", WIDE_KS)
+def test_wide_keys_repeat_rich(k):
+    rng = Random(1300 + k)
+    for _ in range(2):
+        pieces = motif_pieces(k, rng)
+        assert min(map(len, pieces)) < 32
+        ps = pack_pieces(pieces, k)
+        check_pred(ps, pieces)
+        assert (subset_rows(ps) == subset_rows(dataclasses.replace(ps, pred=None))).all()
+        check_against_oracle(pieces, k)
+
+
+def build_peak(text, k):
+    """Peak bytes that tracemalloc sees while packing one piece and filling its matrix."""
+    tracemalloc.start()
+    try:
+        subset_rows(pack_pieces([text], k))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_build_memory_does_not_grow_with_k():
+    # rows are text positions past k = 32: no step holds 16 words per row at k = 511
+    rng = np.random.default_rng(5)
+    text = np.frombuffer(b"ACGT", dtype=np.uint8)[rng.integers(0, 4, 200_000)].tobytes().decode()
+    assert build_peak(text, 511) <= 1.2 * build_peak(text, 127)
 
 
 def multi_word_cases():
