@@ -45,6 +45,10 @@ _LCS_HEADER = struct.Struct("<8sQB")
 # from the sweep in README.md ("Choosing the algorithm")
 AUTO_BASIC_MAX_K = 39
 
+# `verify` looks up at most this many k-mers of the spectrum, and as many
+# substituted ones
+VERIFY_LOOKUPS = 2000
+
 _RC = str.maketrans("ACGT", "TGCA")
 _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")
 _LINE_SPACE = " \t\n\r\v\f"  # ASCII only: str.strip() also drops 0x85 and 0xA0
@@ -170,11 +174,42 @@ def cmd_lcs(args) -> int:
     return EXIT_OK
 
 
+def _verify_lookups(index: SbwtIndex, kmers: tuple[str, ...], label: str) -> int:
+    """Compare lookup with the 1-based ranks of the sorted k-mers.
+
+    The queries are at most VERIFY_LOOKUPS evenly spaced $-free k-mers and
+    one single-base substitution of each, which must be absent or have its
+    own rank; the i-th substitution changes position i mod k.
+    """
+    ranks = {x: i + 1 for i, x in enumerate(kmers)}
+    present = [x for x in kmers if "$" not in x]
+    present = present[:: max(1, -(-len(present) // VERIFY_LOOKUPS))]
+    queries = list(present)
+    for i, x in enumerate(present):
+        j = i % index.k
+        base = BASES[(BASES.index(x[j]) + 1 + i % 3) % 4]
+        queries.append(x[:j] + base + x[j + 1 :])
+    for q in queries:
+        try:
+            got = lookup(index, q)
+        except FormatError as exc:
+            got = f"FormatError ({exc})"
+        if got != ranks.get(q):
+            print(
+                f"mismatch in {label}: lookup of {q} gave {got}, expected {ranks.get(q)}",
+                file=sys.stderr,
+            )
+            return EXIT_VERIFY
+    return EXIT_OK
+
+
 def _verify_one(pieces: list[str], k: int, label: str) -> int:
     spectrum = extended_spectrum(pieces, k)
     index = build_index(spectrum)
     if packed_index(pieces, k) != index:
         print(f"mismatch in {label}: build differs from naive_subset_sequence", file=sys.stderr)
+        return EXIT_VERIFY
+    if _verify_lookups(index, spectrum.kmers, label) != EXIT_OK:
         return EXIT_VERIFY
     arrays = [
         ("naive", naive_lcs(spectrum)),

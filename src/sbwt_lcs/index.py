@@ -135,6 +135,12 @@ class SbwtIndex:
         # sentinel is counted, so counts[0] == 1: this folds the +1 rank
         # offset of the all-$ row into the extension formula.
         self.counts = tuple(1 + sum(pops[:c]) for c in range(4))
+        # per row: the word and cumulative-count memoryviews and counts[c],
+        # so that a query can inline a right-extension step
+        self.steps = tuple(
+            (bv._wordv, bv._cumv, before)
+            for bv, before in zip(self.matrix.rows, self.counts)
+        )
 
     @cached_property
     def pred(self) -> np.ndarray:

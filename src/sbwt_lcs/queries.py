@@ -1,7 +1,8 @@
 """Consumer queries: k-mer membership lookup and left contraction.
 
-Lookup folds right extensions over the query's symbols, two rank queries
-per symbol; membership costs at most k steps. Left contraction widens a
+Lookup folds right extensions over the query's symbols, at most k steps.
+A step costs two rank queries while the interval spans several columns
+and one once it is a single column. Left contraction widens a
 suffix interval to a shorter suffix by a galloping scan of the LCS array
 outward from both ends: past a first entry that is not below the target
 length, numpy chunks of 16, 64, 256, ... entries are compared with it
@@ -29,24 +30,42 @@ class SuffixInterval:
 def lookup(index: SbwtIndex, kmer: str) -> int | None:
     """Colex rank of the k-mer in the spectrum, or None if absent.
 
-    Each step is extend_right without its argument checks: the interval of
-    the suffix read so far is ranks lo+1..hi, and it stays inside 1..n.
-    Raises FormatError if the k-mer's interval is not a single rank, which
-    only an inconsistent index can give.
+    Each step is extend_right with its rank queries inlined and without
+    its argument checks: the interval of the suffix read so far is ranks
+    lo+1..hi, and it stays inside 1..n. Once it is the single column lo,
+    base c extends it iff bit lo of row c is set, and the one rank below
+    that bit gives the next column: rank(lo + 1) - rank(lo) is that bit,
+    so this is the two-rank step on any index. Raises FormatError if the
+    k-mer's interval is not a single rank, which only an inconsistent
+    index can give.
     """
     if len(kmer) != index.k:
         raise ValueError(f"query length {len(kmer)} != k={index.k}")
     check_bases(kmer, "query k-mer")
-    rows, counts = index.matrix.rows, index.counts
+    steps = index.steps
+    symbols = iter(kmer.encode().translate(ROW_OF))
     lo, hi = 0, index.n
-    for c in kmer.encode().translate(ROW_OF):
-        rank, before = rows[c].rank, counts[c]
-        lo, hi = before + rank(lo), before + rank(hi)
+    if hi > 1:
+        for c in symbols:
+            words, cum, before = steps[c]
+            q = lo >> 6
+            lo = before + cum[q] + (words[q] & ((1 << (lo & 63)) - 1)).bit_count()
+            q = hi >> 6
+            hi = before + cum[q] + (words[q] & ((1 << (hi & 63)) - 1)).bit_count()
+            if hi - lo <= 1:
+                break
         if lo == hi:
             return None
-    if hi - lo != 1:
-        raise FormatError(f"inconsistent index: k-mer {kmer} spans ranks {lo + 1}..{hi}")
-    return hi
+        if hi - lo != 1:
+            raise FormatError(f"inconsistent index: k-mer {kmer} spans ranks {lo + 1}..{hi}")
+    for c in symbols:
+        words, cum, before = steps[c]
+        q, bit = lo >> 6, lo & 63
+        word = words[q]
+        if not word >> bit & 1:
+            return None
+        lo = before + cum[q] + (word & ((1 << bit) - 1)).bit_count()
+    return lo + 1
 
 
 # first chunk of the galloping scan; each next chunk is four times longer

@@ -473,6 +473,45 @@ class TestVerify:
         err = capsys.readouterr().err
         assert "mismatch" in err and "rank" in err
 
+    def test_wrong_lookup_exits_3(self, worked_fasta, monkeypatch, capsys):
+        lookup = cli.lookup
+
+        def off_by_one(index, kmer):
+            rank = lookup(index, kmer)
+            return rank + 1 if kmer == "GTAA" else rank
+
+        monkeypatch.setattr(cli, "lookup", off_by_one)
+        assert main(["verify", worked_fasta, "-k", "4"]) == 3
+        err = capsys.readouterr().err
+        assert "lookup of GTAA gave 7, expected 6" in err
+
+    def test_lookup_format_error_exits_3(self, worked_fasta, monkeypatch, capsys):
+        def broken(index, kmer):
+            raise cli.FormatError("spans ranks 2..3")
+
+        monkeypatch.setattr(cli, "lookup", broken)
+        assert main(["verify", worked_fasta, "-k", "4"]) == 3
+        assert "FormatError (spans ranks 2..3)" in capsys.readouterr().err
+
+    def test_lookups_are_capped(self, tmp_path, monkeypatch):
+        # about 2 990 distinct $-free 8-mers: every second one is looked up,
+        # and a substitution of each
+        rng = Random(6)
+        path = tmp_path / "long.fa"
+        path.write_text(">r\n" + "".join(rng.choice("ACGT") for _ in range(3000)) + "\n")
+        seen = []
+        lookup = cli.lookup
+
+        def counted(index, kmer):
+            seen.append(kmer)
+            return lookup(index, kmer)
+
+        monkeypatch.setattr(cli, "lookup", counted)
+        assert main(["verify", str(path), "-k", "8"]) == 0
+        present = len(seen) // 2
+        assert present <= cli.VERIFY_LOOKUPS and len(seen) == 2 * present
+        assert len(set(seen[:present])) == present > 1000
+
 
 class TestIndexFileCompat:
     def test_cli_index_loadable_via_library(self, worked_files):

@@ -90,6 +90,21 @@ class TestLookup:
         with pytest.raises(FormatError, match="ranks 2..3"):
             lookup(SbwtIndex(1, 3, rows), "A")
 
+    def test_one_column_index(self, one_column_index):
+        # n = 1: the interval is a single column before the first symbol
+        for combo in product("ACGT", repeat=4):
+            assert lookup(one_column_index, "".join(combo)) is None
+
+    def test_single_column_only_at_last_symbol(self):
+        # AAA ends CAAA, GAAA and AAAA; only the last A narrows it to AAAA
+        spectrum = extended_spectrum(["CAAAA", "GAAAA"], 4)
+        index = build_index(spectrum)
+        lo, hi = suffix_intervals(spectrum)["AAA"]
+        assert hi - lo == 2
+        assert lookup(index, "AAAA") == spectrum.kmers.index("AAAA") + 1
+        assert lookup(index, "AAAC") is None
+        assert lookup(index, "AAAT") is None
+
     @pytest.mark.parametrize("k", [1, 2, 3, 4])
     def test_exhaustive_small(self, k):
         rng = Random(k * 7)
@@ -188,6 +203,31 @@ class TestLookupAgainstExtension:
         spectrum = extended_spectrum(strings, k)
         index = moved_bit_index(build_index(spectrum), rng)
         for q in self.queries(spectrum, rng):
+            assert outcome(lookup, index, q) == outcome(lookup_by_extension, index, q), q
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize("k", [20, 33, 40])
+    def test_moved_bit_long_kmers(self, k, seed):
+        # at these k most steps of a present k-mer run on a single column;
+        # a one-base substitution of each leaves it at a random position.
+        # The strings are copies of one unit with three substitutions each,
+        # so that shared (k-1)-mers keep some intervals wide up to the last
+        # symbol, where a moved bit can leave two ranks.
+        rng = Random(600 + 10 * k + seed)
+        unit = [rng.choice("ACGT") for _ in range(rng.randint(100, 400))]
+        strings = []
+        for _ in range(rng.randint(2, 5)):
+            copy = list(unit)
+            for _ in range(3):
+                copy[rng.randrange(len(copy))] = rng.choice("ACGT")
+            strings.append("".join(copy))
+        spectrum = extended_spectrum(strings, k)
+        index = moved_bit_index(build_index(spectrum), rng)
+        queries = self.queries(spectrum, rng)
+        for x in queries[: len(queries) - 60]:
+            j = rng.randrange(k)
+            queries.append(x[:j] + rng.choice("ACGT".replace(x[j], "")) + x[j + 1 :])
+        for q in queries:
             assert outcome(lookup, index, q) == outcome(lookup_by_extension, index, q), q
 
 
