@@ -247,8 +247,7 @@ def cmd_verify(args) -> int:
         print(f"verified {args.trials} random trials")
         return EXIT_OK
     if not args.input or not args.k:
-        print("error: verify needs an input file and -k, or --random", file=sys.stderr)
-        return EXIT_USAGE
+        raise ValueError("verify needs an input file and -k, or --random")
     code = _verify_one(read_pieces(args.input, args.k, False), args.k, args.input)
     if code == EXIT_OK:
         print("verified")
@@ -300,22 +299,16 @@ def parse_interval(text: str) -> ColexInterval:
 def cmd_query(args) -> int:
     index = load_index(args.index)
     values = load_lcs_for(index, args.index, args.lcs)
-    try:
-        if args.action == "lookup":
-            for kmer in args.kmers:
-                rank = lookup(index, kmer)
-                print(f"{kmer}\t{rank if rank is not None else 'absent'}")
-        else:
-            interval = parse_interval(args.interval)
-            if not 1 <= args.suffix_len <= index.k:
-                raise ValueError(f"--suffix-len must be in 1..k={index.k}")
-            result = left_contract(values, SuffixInterval(interval, args.suffix_len), args.point)
-            print(f"{result.interval.lo}\t{result.interval.hi}\t{result.suffix_len}")
-    except FormatError:
-        raise
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.action == "lookup":
+        for kmer in args.kmers:
+            rank = lookup(index, kmer)
+            print(f"{kmer}\t{rank if rank is not None else 'absent'}")
+    else:
+        interval = parse_interval(args.interval)
+        if not 1 <= args.suffix_len <= index.k:
+            raise ValueError(f"--suffix-len must be in 1..k={index.k}")
+        result = left_contract(values, SuffixInterval(interval, args.suffix_len), args.point)
+        print(f"{result.interval.lo}\t{result.interval.hi}\t{result.suffix_len}")
     return EXIT_OK
 
 
@@ -399,14 +392,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    """Run one command; an OSError or FormatError from any of them prints
-    its message and exits with EXIT_IO."""
+    """Run one command. An error from any of them prints its message: an
+    OSError or FormatError exits with EXIT_IO, any other ValueError with
+    EXIT_USAGE."""
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (OSError, FormatError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_IO if isinstance(exc, (OSError, FormatError)) else EXIT_USAGE
 
 
 if __name__ == "__main__":

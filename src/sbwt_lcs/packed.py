@@ -22,12 +22,14 @@ through strings per k-mer, and subset_rows fills its 4 x n subset matrix.
 Rows are sorted and deduplicated by _distinct (the text's k-mers past
 k = 32, and the padded rows) and placed among sorted rows by _find (the
 source test, the padded insertion and the matrix entries): one search on
-word 0, and _bisect of the other keys only for the queries that miss
-there. Past k = 32 the column _distinct gives each text k-mer also names
-a predecessor column for every k-mer that follows another in a piece, as
-in Kasai et al.'s LCP construction, and subset_rows takes those as given.
-Together they are the only production build (`sbwt-lcs build`);
-index.build_index is the string reference they are tested against.
+word 0 and one _compare of the later keys with the first row found, then
+_bisect over the rest of the word-0 run only for the queries that row
+sorts below. Past k = 32 the column _distinct gives each text k-mer also
+names a predecessor column for every k-mer that follows another in a
+piece, as in Kasai et al.'s LCP construction, and subset_rows takes those
+as given. Together they are the only production build (`sbwt-lcs
+build`); index.build_index is the string reference they are tested
+against.
 """
 
 from __future__ import annotations
@@ -129,10 +131,6 @@ class PackedSpectrum:
         return len(self.rows.lens)
 
 
-def _nwords(k: int) -> int:
-    return (k + 31) // 32
-
-
 def _windows(codes: np.ndarray, span: int) -> np.ndarray:
     """win[q]: at least `span` (<= 32) symbols ending at q, symbol q on top.
 
@@ -147,22 +145,32 @@ def _windows(codes: np.ndarray, span: int) -> np.ndarray:
     return win
 
 
+def _compare(keys: Rows, at: np.ndarray, queries: Rows, sel: np.ndarray, nkeys: int):
+    """(less, equal): whether key row at[j] sorts below query row sel[j],
+    and whether it equals it, on the first nkeys keys of pairs that tie on
+    word 0. Each later key is gathered only for the pairs still tied."""
+    less = np.zeros(len(at), dtype=bool)
+    equal = np.ones(len(at), dtype=bool)
+    tied = slice(None)  # every pair ties on word 0
+    for j in range(1, nkeys):
+        a, b = keys.key(j, at[tied]), queries.key(j, sel[tied])
+        less[tied], equal[tied] = a < b, a == b
+        tied = np.flatnonzero(equal)
+    return less, equal
+
+
 def _run_starts(key0: np.ndarray, rows: Rows | None = None, nkeys: int = 1) -> np.ndarray:
     """Mask of the sorted rows that differ from their predecessor.
 
-    key0 is word 0 of every row; each later key is compared only for the
-    rows that tie with their predecessor on the keys before it.
+    key0 is word 0 of every row; only the rows that tie with their
+    predecessor on it go through _compare on the later keys.
     """
     new = np.empty(len(key0), dtype=bool)
     new[:1] = True
     new[1:] = key0[1:] != key0[:-1]
-    tie = np.flatnonzero(~new)
-    for j in range(1, nkeys):
-        if not len(tie):
-            break
-        differ = rows.key(j, tie) != rows.key(j, tie - 1)
-        new[tie[differ]] = True
-        tie = tie[~differ]
+    if nkeys > 1:
+        tie = np.flatnonzero(~new)
+        new[tie[~_compare(rows, tie - 1, rows, tie, nkeys)[1]]] = True
     return new
 
 
@@ -179,9 +187,7 @@ def _distinct(rows: Rows, nkeys: int) -> tuple[np.ndarray, np.ndarray]:
     key = rows.word(0)
     order = np.argsort(key)
     key = key[order]
-    new = np.empty(len(order), dtype=bool)
-    new[:1] = True
-    new[1:] = key[1:] != key[:-1]
+    new = _run_starts(key)
     del key
     at = np.arange(len(order))
     for j in range(1, nkeys):
@@ -206,35 +212,21 @@ def _distinct(rows: Rows, nkeys: int) -> tuple[np.ndarray, np.ndarray]:
     return order[new], col
 
 
-def _equal(keys: Rows, at: np.ndarray, queries: Rows, nkeys: int) -> np.ndarray:
-    """Whether key row at[j] equals query row j on the first nkeys keys."""
-    equal = keys.word(0, at) == queries.word(0)
-    same = np.flatnonzero(equal)
-    for j in range(1, nkeys):
-        differ = keys.key(j, at[same]) != queries.key(j, same)
-        equal[same[differ]] = False
-        same = same[~differ]
-    return equal
-
-
-def _bisect(keys: Rows, queries: Rows, lo: np.ndarray, hi: np.ndarray, nkeys: int) -> np.ndarray:
-    """Move each lo[j] to the leftmost insertion point of query row j among
-    key rows lo[j]..hi[j]-1, which all share the query's word 0."""
+def _bisect(keys: Rows, queries: Rows, lo: np.ndarray, hi: np.ndarray, nkeys: int):
+    """(lo, found): each lo[j] moved to the leftmost insertion point of
+    query row j among key rows lo[j]..hi[j]-1, which all share the query's
+    word 0, and whether the row there equals the query. The insertion
+    point is the last probe not below the query, so found is its equality."""
+    found = np.zeros(len(lo), dtype=bool)
     todo = np.flatnonzero(lo < hi)
     while len(todo):
         mid = (lo[todo] + hi[todo]) >> 1
-        less = np.zeros(len(todo), dtype=bool)
-        tied = np.arange(len(todo))
-        for j in range(1, nkeys):  # key 0 ties; decide on the first key that differs
-            a, b = keys.key(j, mid[tied]), queries.key(j, todo[tied])
-            less[tied] = a < b
-            tied = tied[a == b]
-            if not len(tied):
-                break
+        less, equal = _compare(keys, mid, queries, todo, nkeys)
         lo[todo] = np.where(less, mid + 1, lo[todo])
         hi[todo] = np.where(less, hi[todo], mid)
+        found[todo] = np.where(less, found[todo], equal)
         todo = todo[lo[todo] < hi[todo]]
-    return lo
+    return lo, found
 
 
 def _find(keys: Rows, key0: np.ndarray, queries: Rows, nkeys: int) -> tuple[np.ndarray, np.ndarray]:
@@ -243,22 +235,23 @@ def _find(keys: Rows, key0: np.ndarray, queries: Rows, nkeys: int) -> tuple[np.n
 
     at[j] is the first key row not below query j (len(key0) if none is),
     and found[j] tells whether that row equals query j. One left
-    np.searchsorted on word 0 lands on the first row sharing it, which is
-    the answer for most queries. Only the queries that miss there while
-    other rows share their word 0 go through _bisect.
+    np.searchsorted on word 0 lands on the first row sharing it, and one
+    _compare of that row with the query is the answer for most queries.
+    Only the queries that this row sorts below go through _bisect, over
+    the rest of their word-0 run.
     """
     q0 = queries.word(0)
     at = np.searchsorted(key0, q0, side="left")
     last = len(key0) - 1
     if last < 0:
         return at, np.zeros(len(at), dtype=bool)
-    found = _equal(keys, np.minimum(at, last), queries, nkeys)
-    miss = np.flatnonzero(~found)
-    if nkeys > 1 and len(miss):
-        rest = queries.take(miss)
-        hi = np.searchsorted(key0, q0[miss], side="right")
-        at[miss] = _bisect(keys, rest, at[miss], hi, nkeys)
-        found[miss] = _equal(keys, np.minimum(at[miss], last), rest, nkeys)
+    found = np.zeros(len(at), dtype=bool)
+    hit = np.flatnonzero(key0[np.minimum(at, last)] == q0)  # queries whose word 0 is a key row's
+    less, found[hit] = _compare(keys, at[hit], queries, hit, nkeys)
+    below = hit[less]
+    if len(below):
+        hi = np.searchsorted(key0, q0[below], side="right")
+        at[below], found[below] = _bisect(keys, queries.take(below), at[below] + 1, hi, nkeys)
     return at, found
 
 
@@ -273,7 +266,7 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    nw = _nwords(k)
+    nw = (k + 31) // 32
     text = "".join(pieces)
     sym = np.frombuffer(text.encode("ascii", "replace").translate(ROW_OF), dtype=np.uint8)
     bad = np.flatnonzero(sym > 3)
@@ -306,15 +299,11 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
         del first
     del ends
     m = len(kmers.lens)
-    key0 = kmers.word(0)  # a view at k <= 32
 
     heads = starts[lengths >= k] + k - 1  # end of the first k-mer of each piece
     prefixes = Rows(win, heads - 1, _same(k - 1, len(heads)), nw)
-    if nw == 1:
-        suffixes = Rows(key0 & _top_mask(k - 1), None, _same(k - 1, m), 1)
-    else:  # past k = 32 a k-mer's (k-1)-suffix keeps its word 0
-        suffixes = Rows(win, kmers.ends, _same(k - 1, m), nw)
-    has_pred = _find(suffixes, suffixes.win if nw == 1 else key0, prefixes, nw)[1]
+    suffixes = kmers.suffixes(k)
+    has_pred = _find(suffixes, suffixes.word(0), prefixes, nw)[1]
     del suffixes, prefixes
     sources = heads[~has_pred]
 
@@ -326,8 +315,7 @@ def pack_pieces(pieces: Sequence[str], k: int) -> PackedSpectrum:
     del root, body, pad_ends
     padded = padded.take(_distinct(padded, nw + 1)[0])
     # a padded row goes before the k-mer it ties with: its body is shorter
-    at = _find(kmers, key0, padded, nw)[0]
-    del key0
+    at = _find(kmers, kmers.word(0), padded, nw)[0]
     lens = np.insert(np.full(m, k, dtype=np.int32), at, padded.lens)
     if pred is None:
         rows = Rows(np.insert(kmers.win, at, padded.word(0)), None, lens, 1)
@@ -349,8 +337,9 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
     pred is None) are searched for: the suffixes of colex-sorted rows are
     themselves sorted, so the leftmost insertion point from _find is the
     column, one chunk of entries at a time. Almost every prefix matches the
-    first suffix that carries its word 0; only padded rows that tie on
-    words and, past k = 32, rows that tie on word 0 go through _bisect.
+    first suffix that carries its word 0; only a prefix which that suffix
+    sorts below on a later key (a longer body that ties with it on words
+    or, past k = 32, one that ties on word 0 only) goes through _bisect.
     Entry 0 is the root, which pack_pieces puts first and alone. Raises
     ValueError unless every searched row has such a column (the spectrum
     is prefix-closed).
@@ -359,8 +348,6 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
     nkeys = rows.nw + 1
     suffixes = rows.suffixes(k)
     key0 = suffixes.word(0)
-    # a row's last symbol is the top one of its word 0, and past k = 32 of its suffix's
-    tops = rows.word(0) if rows.ends is None else key0
     bits = np.zeros((4, n), dtype=bool)
     if ps.pred is not None:
         # head[c]: the first column of c's (k-1)-suffix run
@@ -369,7 +356,7 @@ def subset_rows(ps: PackedSpectrum) -> np.ndarray:
         np.maximum.accumulate(head, out=head)
     for start in range(1, n, _CHUNK):
         search = slice(start, start + _CHUNK)
-        last = (tops[search] >> _TOP).astype(np.intp)
+        last = (rows.word(0, search) >> _TOP).astype(np.intp)  # a row's last symbol tops word 0
         if ps.pred is not None:
             pred = ps.pred[search]
             known = pred >= 0

@@ -22,7 +22,7 @@ from sbwt_lcs import (
     packed,
     save_index,
 )
-from sbwt_lcs.alphabet import ROW_OF
+from sbwt_lcs.alphabet import BASES, ROW_OF
 from sbwt_lcs.cli import main, packed_index
 from sbwt_lcs.packed import (
     PackedSpectrum,
@@ -174,6 +174,13 @@ def test_order_and_search_match_tuple_order(data, nw):
         want = [bisect_left(order, colex(q, nw)) for q in queries]
         assert at.tolist() == want
         assert found.tolist() == [sorted_bodies[i : i + 1] == [q] for i, q in zip(want, queries)]
+        # _bisect alone over each query's whole word-0 run gives the same answer
+        key0, q0 = keys.word(0), as_rows(queries, nw).word(0)
+        lo = np.searchsorted(key0, q0, side="left")
+        hi = np.searchsorted(key0, q0, side="right")
+        at, found = _bisect(keys, as_rows(queries, nw), lo, hi, nw + 1)
+        assert at.tolist() == want
+        assert found.tolist() == [sorted_bodies[i : i + 1] == [q] for i, q in zip(want, queries)]
 
 
 def spy_on_bisect(monkeypatch):
@@ -220,12 +227,46 @@ def test_word_ties_take_the_full_key_search(monkeypatch, k):
     assert index_bytes(index) == index_bytes(build_index(extended_spectrum(pieces, k)))
 
 
+def bodies(rows, text):
+    """Each row's body, read from the text at its end position or from its one word."""
+    if rows.ends is None:
+        return [
+            "".join(BASES[w >> 62 - 2 * i & 3] for i in range(n))[::-1]
+            for w, n in zip(rows.win.tolist(), rows.lens.tolist())
+        ]
+    return [text[e - n + 1 : e + 1] for e, n in zip(rows.ends.tolist(), rows.lens.tolist())]
+
+
+@pytest.mark.parametrize("k", (31, 33, 64))
+def test_only_rows_above_their_first_word_0_row_are_bisected(monkeypatch, k):
+    # _find compares the first key row sharing a query's word 0 once; only a
+    # query that row sorts below, on a later key, is bisected over the rest
+    pieces = tied_pieces(k, Random(500 + k))
+    text = "".join(pieces)
+    calls = []
+
+    def spy(keys, queries, lo, hi, nkeys):
+        calls.append((bodies(keys, text), bodies(queries, text), lo.tolist(), keys.nw))
+        return _bisect(keys, queries, lo, hi, nkeys)
+
+    monkeypatch.setattr(packed, "_bisect", spy)
+    ps = pack_pieces(pieces, k)
+    index = SbwtIndex(k, ps.n, subset_rows(dataclasses.replace(ps, pred=None)))
+    assert index_bytes(index) == index_bytes(build_index(extended_spectrum(pieces, k)))
+    assert sum(len(lo) for _, _, lo, _ in calls) > 0
+    for keys, queries, lo, nw in calls:
+        order = [colex(b, nw) for b in keys]
+        word0 = [c[:32].replace("0", "1") for c in order]  # $ packs like A
+        for query, first in zip(queries, (i - 1 for i in lo)):
+            q = colex(query, nw)
+            assert word0[first] == q[:32].replace("0", "1")  # it shares the query's word 0
+            assert first == 0 or word0[first - 1] < word0[first]  # and is the first to
+            assert order[first] < q
+
+
 def row_strings(ps, pieces):
-    """Each row of a spectrum packed past k = 32 as a $-padded string, read
-    from the text at its end position."""
-    text, k = "".join(pieces), ps.k
-    rows = zip(ps.rows.ends.tolist(), ps.rows.lens.tolist())
-    return ["$" * (k - n) + text[e - n + 1 : e + 1] for e, n in rows]
+    """Each row of a packed spectrum as a $-padded string."""
+    return ["$" * (ps.k - len(b)) + b for b in bodies(ps.rows, "".join(pieces))]
 
 
 @pytest.mark.parametrize("k", (40, 64))

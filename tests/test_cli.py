@@ -449,6 +449,14 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and "no 5-mers extracted" in captured.err
 
+    @pytest.mark.parametrize("with_input", (False, True))
+    def test_missing_input_or_k_exits_1(self, worked_fasta, with_input, capsys):
+        capsys.readouterr()
+        assert main(["verify"] + ([worked_fasta] if with_input else [])) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: verify needs an input file and -k, or --random\n"
+
     def test_random_mode(self, capsys):
         assert main(["verify", "--random", "--trials", "20", "--seed", "42"]) == 0
         assert "20 random trials" in capsys.readouterr().out
