@@ -12,7 +12,6 @@ import resource
 import struct
 import sys
 import time
-from random import Random
 
 import numpy as np
 
@@ -22,14 +21,11 @@ from .index import (
     ColexInterval,
     FormatError,
     SbwtIndex,
-    build_index,
     load_index,
     save_index,
 )
-from .lcs_basic import decode_spectrum, lcs_basic
+from .lcs_basic import lcs_basic
 from .lcs_linear import lcs_linear
-from .lcs_superalphabet import lcs_super
-from .oracle import extended_spectrum, naive_lcs
 from .packed import pack_pieces, subset_rows
 from .queries import SuffixInterval, left_contract, lookup
 
@@ -44,10 +40,6 @@ _LCS_HEADER = struct.Struct("<8sQB")
 # `lcs` runs basic up to this k and linear above it; the crossover comes
 # from the sweep in README.md ("Choosing the algorithm")
 AUTO_BASIC_MAX_K = 39
-
-# `verify` looks up at most this many k-mers of the spectrum, and as many
-# substituted ones
-VERIFY_LOOKUPS = 2000
 
 _RC = str.maketrans("ACGT", "TGCA")
 _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")
@@ -174,84 +166,10 @@ def cmd_lcs(args) -> int:
     return EXIT_OK
 
 
-def _verify_lookups(index: SbwtIndex, kmers: tuple[str, ...], label: str) -> int:
-    """Compare lookup with the 1-based ranks of the sorted k-mers.
-
-    The queries are at most VERIFY_LOOKUPS evenly spaced $-free k-mers and
-    one single-base substitution of each, which must be absent or have its
-    own rank; the i-th substitution changes position i mod k.
-    """
-    ranks = {x: i + 1 for i, x in enumerate(kmers)}
-    present = [x for x in kmers if "$" not in x]
-    present = present[:: max(1, -(-len(present) // VERIFY_LOOKUPS))]
-    queries = list(present)
-    for i, x in enumerate(present):
-        j = i % index.k
-        base = BASES[(BASES.index(x[j]) + 1 + i % 3) % 4]
-        queries.append(x[:j] + base + x[j + 1 :])
-    for q in queries:
-        try:
-            got = lookup(index, q)
-        except FormatError as exc:
-            got = f"FormatError ({exc})"
-        if got != ranks.get(q):
-            print(
-                f"mismatch in {label}: lookup of {q} gave {got}, expected {ranks.get(q)}",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFY
-    return EXIT_OK
-
-
-def _verify_one(pieces: list[str], k: int, label: str) -> int:
-    spectrum = extended_spectrum(pieces, k)
-    index = build_index(spectrum)
-    if packed_index(pieces, k) != index:
-        print(f"mismatch in {label}: build differs from naive_subset_sequence", file=sys.stderr)
-        return EXIT_VERIFY
-    if _verify_lookups(index, spectrum.kmers, label) != EXIT_OK:
-        return EXIT_VERIFY
-    arrays = [
-        ("naive", naive_lcs(spectrum)),
-        ("basic", lcs_basic(index)),
-        ("super", lcs_super(index, 2)),
-        ("linear", lcs_linear(index)),
-    ]
-    reference = arrays[0][1]
-    for name, values in arrays[1:]:
-        if (values != reference).any():
-            bad = int(np.argmax(values != reference))
-            row = " ".join(f"{n}={int(v[bad])}" for n, v in arrays)
-            before = spectrum.kmers[bad - 1] if bad else "-"
-            print(
-                f"mismatch in {label} at rank {bad + 1}: {row} "
-                f"(k-mers {before} | {spectrum.kmers[bad]})",
-                file=sys.stderr,
-            )
-            return EXIT_VERIFY
-    return EXIT_OK
-
-
 def cmd_verify(args) -> int:
-    if args.random:
-        rng = Random(args.seed)
-        for trial in range(args.trials):
-            k = args.k if args.k else rng.randint(1, 12)
-            strings = [
-                "".join(rng.choice("ACGT") for _ in range(rng.randint(1, args.length)))
-                for _ in range(args.count)
-            ]
-            code = _verify_one(strings, k, f"trial {trial} (k={k})")
-            if code != EXIT_OK:
-                return code
-        print(f"verified {args.trials} random trials")
-        return EXIT_OK
-    if not args.input or not args.k:
-        raise ValueError("verify needs an input file and -k, or --random")
-    code = _verify_one(read_pieces(args.input, args.k, False), args.k, args.input)
-    if code == EXIT_OK:
-        print("verified")
-    return code
+    from .verify import run
+
+    return run(args)
 
 
 def load_lcs_for(index: SbwtIndex, index_path: str, lcs_path: str) -> np.ndarray:
@@ -273,6 +191,8 @@ def load_lcs_for(index: SbwtIndex, index_path: str, lcs_path: str) -> np.ndarray
 
 
 def cmd_dump(args) -> int:
+    from .oracle import decode_spectrum
+
     index = load_index(args.index)
     values = load_lcs_for(index, args.index, args.lcs) if args.lcs else None
     spectrum = decode_spectrum(index)

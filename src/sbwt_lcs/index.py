@@ -14,12 +14,14 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import BinaryIO, NamedTuple
+from typing import TYPE_CHECKING, BinaryIO, NamedTuple
 
 import numpy as np
 
 from .alphabet import BASES, BASE_CODES
-from .oracle import SortedSpectrum, naive_subset_sequence
+
+if TYPE_CHECKING:
+    from .oracle import SortedSpectrum
 
 MAGIC = b"SBWTLCS1"
 _HEADER = struct.Struct("<8sQQ")
@@ -175,6 +177,8 @@ def build_index(s: SortedSpectrum) -> SbwtIndex:
     not prefix-closed (some k-mer would have no predecessor, so fewer than
     n-1 bits are set), since the LF mapping is then not a bijection.
     """
+    from .oracle import naive_subset_sequence
+
     s.validate()
     subsets = naive_subset_sequence(s)
     bits = np.array([[base in x for x in subsets] for base in BASES], dtype=bool)

@@ -3,7 +3,8 @@
 Everything here is written for clarity, not speed: plain sets, string
 slicing and comparison sorts. These functions define the ground truth that
 the succinct index and all LCS construction algorithms are tested against.
-Intended scale is up to a few hundred thousand k-mers.
+Intended scale is up to a few hundred thousand k-mers. This is the
+reference side: build, lcs and query never load it; dump loads it to decode.
 """
 
 from __future__ import annotations
@@ -13,7 +14,9 @@ from typing import Iterable
 
 import numpy as np
 
-from .alphabet import BASES, DOLLAR, check_bases, colex_key
+from .alphabet import BASES, DOLLAR, check_bases, colex_key, decode
+from .index import FormatError, SbwtIndex
+from .lcs_basic import initial_labels
 
 
 def colex_less(x: str, y: str) -> bool:
@@ -58,6 +61,30 @@ class SortedSpectrum:
             if prev is not None and not colex_less(prev, x):
                 raise ValueError(f"not strictly colex-sorted at {prev!r} >= {x!r}")
             prev = x
+
+
+def decode_spectrum(index: SbwtIndex) -> SortedSpectrum:
+    """Recover the full sorted spectrum; inverse of build_index.
+
+    Raises FormatError if the decoded k-mers are not strictly increasing in
+    colex order, which no subset matrix can produce. pred ascends within
+    each base's block, so the decoded order never falls; it fails to rise
+    only where two neighbours are equal.
+    """
+    n, k = index.n, index.k
+    chars = np.empty((k, n), dtype=np.uint8)
+    chars[0] = initial_labels(index)  # row j holds the char at offset j from the end
+    for j in range(1, k):
+        chars[j] = chars[j - 1][index.pred]
+    equal = np.flatnonzero((chars[:, 1:] == chars[:, :-1]).all(axis=0))
+    if len(equal):
+        r = int(equal[0]) + 1
+        raise FormatError(
+            f"inconsistent index: ranks {r} and {r + 1} decode to the same k-mer, "
+            "so the k-mers are not strictly colex-increasing"
+        )
+    text = decode(chars[::-1].T)
+    return SortedSpectrum(k, tuple(text[i : i + k] for i in range(0, n * k, k)))
 
 
 def k_spectrum(strings: Iterable[str], k: int) -> set[str]:

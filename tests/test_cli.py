@@ -1,13 +1,22 @@
 """End-to-end command behaviour: exit codes, formats, cross-validation."""
 
+import json
+import os
 import re
 import struct
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 from random import Random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sbwt_lcs import (
+    FormatError,
     SbwtIndex,
     build_index,
     cli,
@@ -19,16 +28,20 @@ from sbwt_lcs import (
     naive_lcs,
     naive_subset_sequence,
     save_index,
+    verify,
 )
 from sbwt_lcs.cli import load_lcs, main
 
 from conftest import WORKED_LCS, moved_bit_index
 
 
+WORKED_FASTA = ">s1\nAGGTAAA\n>s2\nACAGGTAGGAAAGGAAAGT\n"
+
+
 @pytest.fixture
 def worked_fasta(tmp_path):
     path = tmp_path / "worked.fa"
-    path.write_text(">s1\nAGGTAAA\n>s2\nACAGGTAGGAAAGGAAAGT\n")
+    path.write_text(WORKED_FASTA)
     return str(path)
 
 
@@ -171,16 +184,16 @@ class TestLcsCommand:
         assert capsys.readouterr().out.startswith(f"algo={ran} ms=")
         pieces = cli.clean_pieces([seq for _, seq in cli.read_fasta(random_fasta)], False)
         cli.save_lcs(naive_lcs(extended_spectrum(pieces, k)), k, expected)
-        assert open(out, "rb").read() == open(expected, "rb").read()
+        assert Path(out).read_bytes() == Path(expected).read_bytes()
 
     def test_all_algorithms_byte_identical(self, worked_files, tmp_path):
         index, basic_path = worked_files
-        reference = open(basic_path, "rb").read()
+        reference = Path(basic_path).read_bytes()
         loaded = load_index(index)
         for name, construct in (("super", lcs_super), ("linear", lcs_linear)):
             out = str(tmp_path / f"{name}.lcs")
             cli.save_lcs(construct(loaded), loaded.k, out)
-            assert open(out, "rb").read() == reference
+            assert Path(out).read_bytes() == reference
 
     def test_unknown_algorithm_exits_1(self, worked_files, tmp_path):
         index, _ = worked_files
@@ -196,7 +209,7 @@ class TestLcsCommand:
     def test_set_padding_bit_exits_2(self, worked_files, tmp_path, capsys):
         # n=18: the last byte of each row holds 2 column bits and 6 padding bits
         index, _ = worked_files
-        data = bytearray(open(index, "rb").read())
+        data = bytearray(Path(index).read_bytes())
         data[-1] |= 0x40
         bad = tmp_path / "pad.sbwt"
         bad.write_bytes(bytes(data))
@@ -476,7 +489,7 @@ class TestVerify:
             values[-1] += 1
             return values
 
-        monkeypatch.setattr(cli, "lcs_super", corrupted)
+        monkeypatch.setattr(verify, "lcs_super", corrupted)
         assert main(["verify", worked_fasta, "-k", "4"]) == 3
         err = capsys.readouterr().err
         assert "mismatch" in err and "rank" in err
@@ -488,7 +501,7 @@ class TestVerify:
             rank = lookup(index, kmer)
             return rank + 1 if kmer == "GTAA" else rank
 
-        monkeypatch.setattr(cli, "lookup", off_by_one)
+        monkeypatch.setattr(verify, "lookup", off_by_one)
         assert main(["verify", worked_fasta, "-k", "4"]) == 3
         err = capsys.readouterr().err
         assert "lookup of GTAA gave 7, expected 6" in err
@@ -497,7 +510,7 @@ class TestVerify:
         def broken(index, kmer):
             raise cli.FormatError("spans ranks 2..3")
 
-        monkeypatch.setattr(cli, "lookup", broken)
+        monkeypatch.setattr(verify, "lookup", broken)
         assert main(["verify", worked_fasta, "-k", "4"]) == 3
         assert "FormatError (spans ranks 2..3)" in capsys.readouterr().err
 
@@ -514,10 +527,10 @@ class TestVerify:
             seen.append(kmer)
             return lookup(index, kmer)
 
-        monkeypatch.setattr(cli, "lookup", counted)
+        monkeypatch.setattr(verify, "lookup", counted)
         assert main(["verify", str(path), "-k", "8"]) == 0
         present = len(seen) // 2
-        assert present <= cli.VERIFY_LOOKUPS and len(seen) == 2 * present
+        assert present <= verify.VERIFY_LOOKUPS and len(seen) == 2 * present
         assert len(set(seen[:present])) == present > 1000
 
 
@@ -525,3 +538,110 @@ class TestIndexFileCompat:
     def test_cli_index_loadable_via_library(self, worked_files):
         index, _ = worked_files
         assert load_index(index).n == 18
+
+
+# Runs build, lcs and query in one fresh interpreter; prints their exit
+# codes, the sbwt_lcs modules they loaded, and what the package's names
+# lcs_basic and lcs_linear are once their submodules are imported too.
+_LAYERING_CHILD = """
+import json, sys
+from sbwt_lcs.cli import main
+fasta, folder = sys.argv[1:]
+index, lcs = folder + "/w.sbwt", folder + "/w.lcs"
+codes = [
+    main(["build", fasta, "-k", "4", "-o", index]),
+    main(["lcs", index, "-o", lcs]),
+    main(["query", index, lcs, "lookup", "GTAA"]),
+]
+loaded = sorted(m for m in sys.modules if m.startswith("sbwt_lcs"))
+import sbwt_lcs.lcs_basic, sbwt_lcs.lcs_linear
+kinds = [type(sbwt_lcs.lcs_basic).__name__, type(sbwt_lcs.lcs_linear).__name__]
+print(json.dumps([codes, loaded, kinds]))
+"""
+
+
+class TestLayering:
+    def test_production_commands_load_no_reference_module(self, worked_fasta, tmp_path):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        result = subprocess.run(
+            [sys.executable, "-W", "error", "-c", _LAYERING_CHILD, worked_fasta, str(tmp_path)],
+            env={**os.environ, "PYTHONPATH": src},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        codes, loaded, kinds = json.loads(result.stdout.splitlines()[-1])
+        assert codes == [0, 0, 0]
+        assert "sbwt_lcs.cli" in loaded
+        for reference in ("sbwt_lcs.oracle", "sbwt_lcs.lcs_superalphabet", "sbwt_lcs.verify"):
+            assert reference not in loaded
+        # both names are also submodules: importing one must not rebind the function
+        assert kinds == ["function", "function"]
+
+
+# the 8-byte header fields of each file, by byte offset
+_FIELDS = {"index": {"k": 8, "n": 16}, "lcs": {"n": 8}}
+_HEADER_SIZE = {"index": 24, "lcs": 17}
+_EXTREMES = (0, 1 << 63, (1 << 64) - 1)
+
+
+@pytest.fixture(scope="module")
+def pristine(tmp_path_factory):
+    """A scratch folder and the bytes of the worked index and LCS files."""
+    folder = tmp_path_factory.mktemp("mutated")
+    fasta, index, lcs = (str(folder / name) for name in ("w.fa", "p.sbwt", "p.lcs"))
+    Path(fasta).write_text(WORKED_FASTA)
+    assert main(["build", fasta, "-k", "4", "-o", index]) == 0
+    assert main(["lcs", index, "-o", lcs]) == 0
+    return folder, {"index": Path(index).read_bytes(), "lcs": Path(lcs).read_bytes()}
+
+
+class TestMutatedFiles:
+    """A damaged index or LCS file: the loader raises FormatError and query
+    exits 2, except for the two flips named below. Never another exception,
+    and never an allocation sized from the header."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        which=st.sampled_from(["index", "lcs"]),
+        kind=st.sampled_from(["cut", "flip", "set"]),
+        data=st.data(),
+    )
+    def test_loader_rejects(self, pristine, which, kind, data):
+        folder, files = pristine
+        raw = bytearray(files[which])
+        at = None
+        if kind == "cut":
+            raw = raw[: data.draw(st.integers(0, len(raw) - 1))]
+        elif kind == "flip":
+            at = data.draw(st.sampled_from([*range(_HEADER_SIZE[which]), len(raw) - 1]))
+            raw[at] ^= 1 << data.draw(st.integers(0, 7))
+        else:
+            field = _FIELDS[which][data.draw(st.sampled_from(sorted(_FIELDS[which])))]
+            raw[field : field + 8] = data.draw(st.sampled_from(_EXTREMES)).to_bytes(8, "little")
+        paths = {"index": folder / "w.sbwt", "lcs": folder / "w.lcs"}
+        for name, path in paths.items():
+            path.write_bytes(bytes(raw) if name == which else files[name])
+        load = load_index if which == "index" else load_lcs
+        tracemalloc.start()
+        try:
+            loaded = load(str(paths[which]))
+        except FormatError:
+            loaded = None
+        finally:
+            peak = tracemalloc.get_traced_memory()[1]
+            tracemalloc.stop()
+        assert peak < 1 << 20
+        query = ["query", str(paths["index"]), str(paths["lcs"]), "lookup", "GTAA"]
+        # two flips no loader can catch alone: k of the index, whose rows
+        # do not depend on it, and the last LCS value
+        k_flip = which == "index" and at is not None and 8 <= at < 16
+        new_k = int.from_bytes(raw[8:16], "little")
+        if k_flip and 1 <= new_k <= cli.MAX_K:
+            assert (loaded.k, loaded.n) == (new_k, 18)
+        elif which == "lcs" and at == len(raw) - 1:
+            assert loaded[:-1].tolist() == WORKED_LCS[:-1]
+            assert main(query) == (2 if loaded[-1] > 3 else 0)
+        else:
+            assert loaded is None
+            assert main(query) == 2

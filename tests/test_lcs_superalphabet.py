@@ -13,8 +13,8 @@ from sbwt_lcs import (
     lcs_super,
     naive_lcs,
 )
-from sbwt_lcs.lcs_basic import initial_labels, step_map
-from sbwt_lcs.lcs_superalphabet import MAX_WIDTH
+from sbwt_lcs.lcs_basic import initial_labels
+from sbwt_lcs.lcs_superalphabet import MAX_WIDTH, step_map
 from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, random_instance
