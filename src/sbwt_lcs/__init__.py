@@ -11,7 +11,7 @@ from .index import (
     save_index,
 )
 from .lcs_basic import lcs_basic
-from .lcs_linear import lcs_linear, lcs_linear_endpoints
+from .lcs_linear import lcs_adaptive, lcs_linear, lcs_linear_endpoints
 from .queries import SuffixInterval, left_contract, lookup
 from .stats import BuildStats
 
@@ -43,6 +43,7 @@ __all__ = [
     "build_index",
     "decode_spectrum",
     "extended_spectrum",
+    "lcs_adaptive",
     "lcs_basic",
     "lcs_linear",
     "lcs_linear_endpoints",

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import resource
 import struct
@@ -24,10 +25,10 @@ from .index import (
     load_index,
     save_index,
 )
-from .lcs_basic import lcs_basic
-from .lcs_linear import lcs_linear
+from .lcs_linear import lcs_adaptive
 from .packed import pack_pieces, subset_rows
 from .queries import SuffixInterval, left_contract, lookup
+from .stats import BuildStats
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -36,10 +37,6 @@ EXIT_VERIFY = 3
 
 LCS_MAGIC = b"LCSARR01"
 _LCS_HEADER = struct.Struct("<8sQB")
-
-# `lcs` runs basic up to this k and linear above it; the crossover comes
-# from the sweep in README.md ("Choosing the algorithm")
-AUTO_BASIC_MAX_K = 39
 
 _RC = str.maketrans("ACGT", "TGCA")
 _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")
@@ -153,16 +150,14 @@ def cmd_build(args) -> int:
 
 def cmd_lcs(args) -> int:
     index = load_index(args.index)
-    if index.k <= AUTO_BASIC_MAX_K:
-        algorithm, construct = "basic", lcs_basic
-    else:
-        algorithm, construct = "linear", lcs_linear
+    stats = BuildStats()
     start = time.perf_counter()
-    values = construct(index)
+    values = lcs_adaptive(index, stats)
     elapsed_ms = (time.perf_counter() - start) * 1000.0
     peak_bytes = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
     save_lcs(values, index.k, args.output)
-    print(f"algo={algorithm} ms={elapsed_ms:.3f} bytes={peak_bytes}")
+    handover = "none" if stats.handover is None else stats.handover
+    print(f"algo=adaptive handover={handover} ms={elapsed_ms:.3f} bytes={peak_bytes}")
     return EXIT_OK
 
 
@@ -314,10 +309,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command. An error from any of them prints its message: an
     OSError or FormatError exits with EXIT_IO, any other ValueError with
-    EXIT_USAGE."""
+    EXIT_USAGE. A reader that closes stdout early, as `head` does, is not
+    an error: the rest of the output goes to os.devnull and the exit is 0."""
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # flushing at exit would raise again on the closed pipe
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO if isinstance(exc, (OSError, FormatError)) else EXIT_USAGE

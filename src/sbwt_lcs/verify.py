@@ -3,8 +3,9 @@ the reference side.
 
 The brute-force spectrum (oracle) is the ground truth. The packed build
 must give the index build_index gives; lookup must give each k-mer's
-rank; and lcs_basic, lcs_super and lcs_linear must all give naive_lcs.
-Only `sbwt-lcs verify` imports this module.
+rank; and lcs_basic, lcs_super, lcs_linear and lcs_adaptive (the
+width-1 rounds, then the BFS resumed from the slots still open) must all
+give naive_lcs. Only `sbwt-lcs verify` imports this module.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .alphabet import BASES
 from .cli import EXIT_OK, EXIT_VERIFY, packed_index, read_pieces
 from .index import FormatError, SbwtIndex, build_index
 from .lcs_basic import lcs_basic
-from .lcs_linear import lcs_linear
+from .lcs_linear import lcs_adaptive, lcs_linear
 from .lcs_superalphabet import lcs_super
 from .oracle import extended_spectrum, naive_lcs
 from .queries import lookup
@@ -70,6 +71,7 @@ def verify_one(pieces: list[str], k: int, label: str) -> int:
         ("basic", lcs_basic(index)),
         ("super", lcs_super(index, 2)),
         ("linear", lcs_linear(index)),
+        ("adaptive", lcs_adaptive(index)),
     ]
     reference = arrays[0][1]
     for name, values in arrays[1:]:

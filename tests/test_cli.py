@@ -22,6 +22,8 @@ from sbwt_lcs import (
     cli,
     decode_spectrum,
     extended_spectrum,
+    lcs_adaptive,
+    lcs_basic,
     lcs_linear,
     lcs_super,
     load_index,
@@ -31,6 +33,7 @@ from sbwt_lcs import (
     verify,
 )
 from sbwt_lcs.cli import load_lcs, main
+from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, moved_bit_index
 
@@ -171,19 +174,27 @@ class TestLcsCommand:
         out = str(tmp_path / "out.lcs")
         assert main(["lcs", index, "-o", out]) == 0
         line = capsys.readouterr().out.strip()
-        assert line.startswith("algo=basic ms=") and " bytes=" in line
+        # the worked rounds close every slot by round 4 = k: no hand-over
+        assert re.fullmatch(r"algo=adaptive handover=none ms=[0-9.]+ bytes=[0-9]+", line)
 
-    @pytest.mark.parametrize(
-        "k, ran", [(cli.AUTO_BASIC_MAX_K, "basic"), (cli.AUTO_BASIC_MAX_K + 1, "linear")]
-    )
-    def test_default_picks_by_k(self, random_fasta, tmp_path, capsys, k, ran):
-        index, out, expected = (str(tmp_path / name) for name in ("r.sbwt", "r.lcs", "naive.lcs"))
-        assert main(["build", random_fasta, "-k", str(k), "-o", index]) == 0
+    def test_report_names_the_handover(self, tmp_path, capsys):
+        # 4000 uniform bases at k = 63: the rounds close most slots by
+        # round log4(4000) + a few, and the BFS claims the last ones
+        rng = Random(9)
+        fasta = tmp_path / "u.fa"
+        fasta.write_text(">u\n" + "".join(rng.choice("ACGT") for _ in range(4000)) + "\n")
+        index, out, expected = (str(tmp_path / name) for name in ("u.sbwt", "u.lcs", "naive.lcs"))
+        assert main(["build", str(fasta), "-k", "63", "-o", index]) == 0
         capsys.readouterr()
         assert main(["lcs", index, "-o", out]) == 0
-        assert capsys.readouterr().out.startswith(f"algo={ran} ms=")
-        pieces = cli.clean_pieces([seq for _, seq in cli.read_fasta(random_fasta)], False)
-        cli.save_lcs(naive_lcs(extended_spectrum(pieces, k)), k, expected)
+        line = capsys.readouterr().out.strip()
+        handover = re.fullmatch(r"algo=adaptive handover=(\d+) ms=[0-9.]+ bytes=[0-9]+", line)
+        assert handover, line
+        stats = BuildStats()
+        lcs_adaptive(load_index(index), stats)
+        assert int(handover.group(1)) == stats.handover
+        pieces = cli.clean_pieces([seq for _, seq in cli.read_fasta(str(fasta))], False)
+        cli.save_lcs(naive_lcs(extended_spectrum(pieces, 63)), 63, expected)
         assert Path(out).read_bytes() == Path(expected).read_bytes()
 
     def test_all_algorithms_byte_identical(self, worked_files, tmp_path):
@@ -240,6 +251,26 @@ class TestDump:
         assert lines[3] == "4\tTAAA\t-\t3"
         assert lines[10] == "11\tAAAG\tGT\t0"
         assert [int(l.split("\t")[3]) for l in lines] == WORKED_LCS
+
+    def test_reader_closing_the_pipe_exits_0(self, tmp_path):
+        # about 1 MB of table, far more than a pipe buffers, so the writer
+        # is still writing when the reader closes its end
+        rng = Random(3)
+        fasta, index = tmp_path / "r.fa", str(tmp_path / "r.sbwt")
+        fasta.write_text(">r\n" + "".join(rng.choice("ACGT") for _ in range(20_000)) + "\n")
+        assert main(["build", str(fasta), "-k", "31", "-o", index]) == 0
+        src = str(Path(cli.__file__).resolve().parents[1])
+        child = subprocess.Popen(
+            [sys.executable, "-m", "sbwt_lcs.cli", "dump", index],
+            env={**os.environ, "PYTHONPATH": src},
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+        )
+        assert child.stdout.readline().startswith(b"1\t$")
+        child.stdout.close()
+        assert child.wait(timeout=60) == 0
+        assert child.stderr.read() == b""
+        child.stderr.close()
 
     def test_without_lcs_file(self, worked_files, capsys):
         index, _ = worked_files
@@ -485,7 +516,7 @@ class TestVerify:
 
     def test_corrupted_path_exits_3(self, worked_fasta, monkeypatch, capsys):
         def corrupted(index, c=2, stats=None):
-            values = cli.lcs_basic(index)
+            values = lcs_basic(index)
             values[-1] += 1
             return values
 

@@ -36,6 +36,7 @@ def test_package_surface():
         "build_index",
         "decode_spectrum",
         "extended_spectrum",
+        "lcs_adaptive",
         "lcs_basic",
         "lcs_linear",
         "lcs_linear_endpoints",

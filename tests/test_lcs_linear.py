@@ -13,17 +13,20 @@ from sbwt_lcs import (
     SbwtIndex,
     build_index,
     extended_spectrum,
+    lcs_adaptive,
     lcs_basic,
     lcs_linear,
     lcs_linear_endpoints,
     lcs_super,
     naive_lcs,
 )
+from sbwt_lcs.cli import clean_pieces
 from sbwt_lcs.lcs_linear import _claim
 from sbwt_lcs.lcs_superalphabet import MAX_WIDTH
 from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, brute_l_intervals, random_instance, suffix_intervals
+from test_acceptance import SUITE_SEED, SUITE_SIZE
 
 
 class TestGolden:
@@ -164,3 +167,86 @@ class TestLemmas:
             assert parent in intervals
             plo, phi = intervals[parent]
             assert best[phi] == (plo, parent)
+
+
+def every_handover(index, reference):
+    """The hand-overs forced at each round 1..k-1, and the unforced run,
+    that do not give the reference array."""
+    runs = [None, *range(1, index.k)]
+    return [r for r in runs if lcs_adaptive(index, _handover=r).tobytes() != reference.tobytes()]
+
+
+class TestAdaptive:
+    """The width-1 rounds handing over to the BFS at every round."""
+
+    def test_worked(self, worked_index):
+        assert every_handover(worked_index, np.array(WORKED_LCS, dtype=np.int32)) == []
+
+    def test_one_column(self, one_column_index):
+        assert list(lcs_adaptive(one_column_index)) == [0]
+
+    def test_c2_corpus(self):
+        rng = Random(SUITE_SEED)
+        for trial in range(SUITE_SIZE):
+            strings, k = random_instance(rng)
+            spectrum = extended_spectrum(strings, k)
+            bad = every_handover(build_index(spectrum), naive_lcs(spectrum))
+            assert bad == [], f"trial {trial} (k={k}): hand-over rounds {bad} differ"
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.lists(st.text("ACGTN", min_size=1, max_size=60), min_size=1, max_size=5),
+        st.integers(2, 20),
+        st.booleans(),
+    )
+    def test_pieces(self, records, k, add_rc):
+        # N splits a record into pieces; every piece start is $-padded
+        spectrum = extended_spectrum(clean_pieces(records, add_rc), k)
+        assert every_handover(build_index(spectrum), naive_lcs(spectrum)) == []
+
+    def test_inconsistent_index_raises_in_both_phases(self):
+        # k=2, n=3, row A = 011: ranks 2 and 3 both decode to AA. Round 1
+        # closes slot 1 only; round 2 leaves slot 2 open, and the BFS from
+        # slot 1 never reaches it
+        rows = np.zeros((4, 1), dtype=np.uint8)
+        rows[0, 0] = 0b110
+        index = SbwtIndex(2, 3, rows)
+        with pytest.raises(FormatError, match="1 LCS slots still open after all k=2"):
+            lcs_adaptive(index)
+        with pytest.raises(FormatError, match="the BFS left 1 LCS slots unfilled"):
+            lcs_adaptive(index, _handover=1)
+
+    @pytest.mark.parametrize("seed", [121, 122, 123, 124])
+    def test_counters(self, seed):
+        # past the hand-over the BFS runs linear's rounds from the same
+        # endpoints: the same last round, and the pushes and rank queries
+        # of the rounds after round r. A slot is open after round r while
+        # r <= its value
+        rng = Random(seed)
+        strings, k = random_instance(rng, k=rng.randint(8, 40))
+        index = build_index(extended_spectrum(strings, k))
+        linear = BuildStats()
+        values = lcs_linear(index, linear)
+        for r in range(1, values.max() + 1):
+            stats = BuildStats()
+            lcs_adaptive(index, stats, _handover=r)
+            assert stats.handover == r
+            assert stats.rounds == linear.rounds
+            assert stats.intervals_pushed == np.count_nonzero(values >= r)
+            his_before = 1 + np.count_nonzero(values[1:] <= r - 2)
+            assert stats.rank_queries == linear.rank_queries - 4 * his_before
+            assert stats.lcs_writes == index.n
+
+    @pytest.mark.parametrize("seed", [131, 132])
+    def test_counters_without_handover(self, seed):
+        # the rounds stop once no slot is open, after the largest value's;
+        # a hand-over at round k never fires
+        rng = Random(seed)
+        strings, k = random_instance(rng, k=rng.randint(8, 40))
+        index = build_index(extended_spectrum(strings, k))
+        stats = BuildStats()
+        values = lcs_adaptive(index, stats, _handover=k)
+        assert stats.handover is None
+        assert stats.rounds == values.max() + 1
+        assert (stats.rank_queries, stats.intervals_pushed) == (0, 0)
+        assert stats.lcs_writes == index.n
