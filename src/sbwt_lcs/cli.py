@@ -95,12 +95,8 @@ def read_pieces(path: str, k: int, add_rc: bool) -> list[str]:
 
 
 def lcs_value_width(k: int) -> int:
-    """Smallest of 1, 2, 4 bytes that holds k-1."""
-    if k - 1 <= 0xFF:
-        return 1
-    if k - 1 <= 0xFFFF:
-        return 2
-    return 4
+    """Bytes of the narrowest unsigned type that holds k-1."""
+    return np.min_scalar_type(k - 1).itemsize
 
 
 def save_lcs(values: np.ndarray, k: int, path: str) -> None:

@@ -20,44 +20,51 @@ def initial_labels(index: SbwtIndex) -> np.ndarray:
     return np.repeat(np.arange(5, dtype=np.uint8), sizes)
 
 
-def width1_rounds(index: SbwtIndex, stop=None) -> tuple[np.ndarray, np.ndarray, int]:
+def width1_rounds(index: SbwtIndex, stop=None) -> tuple[np.ndarray, int]:
     """The width-1 rounds: round r compares the characters at offset r-1
-    from the end. Returns (lcs, same, r) after round r.
+    from the end. Returns (lcs, r) after round r, where lcs is the int32
+    array with every still-open slot unset (-1).
 
     Entry i-1 of lcs holds the value for rank i; rank 1 is 0 by
     definition. The mask `same` holds the slots that have matched their
-    left neighbour in every round so far, and lcs is a counter of the
-    narrowest type that holds k, counting those rounds. So after round r
-    every closed slot holds its final value and every open one holds r.
-    The rounds run to k unless stop(r, same) is true after a round r < k.
-    Raises FormatError if a slot matches through offset k-1, as only two
-    equal k-mers can.
+    left neighbour in every round so far, and a counter of the narrowest
+    type that holds k counts those rounds. So after round r every closed
+    slot holds its final value, below r, and every open one holds r. The
+    rounds run to k unless stop(r, same), called after every round, is
+    true. Raises FormatError if they run out with a slot still open, as
+    only two equal k-mers can leave one.
     """
     n, k = index.n, index.k
     labels = initial_labels(index)
-    lcs = np.zeros(n, dtype=np.min_scalar_type(k))
+    counts = np.zeros(n, dtype=np.min_scalar_type(k))
     same = np.ones(n - 1, dtype=bool)
     for r in range(1, k + 1):
         if r > 1:
             labels = labels[index.pred]
         equal = labels[1:] == labels[:-1]
-        lcs[1:] += same & equal
+        counts[1:] += same & equal
         same &= equal
-        if r < k and stop is not None and stop(r, same):
-            return lcs, same, r
-    still_open = int(np.count_nonzero(same))
-    if still_open:
-        raise FormatError(
-            f"inconsistent index: {still_open} LCS slots still open after all k={k} symbols"
-        )
-    return lcs, same, k
+        if stop is not None and stop(r, same):
+            break
+    else:
+        still_open = int(np.count_nonzero(same))
+        if still_open:
+            raise FormatError(
+                f"inconsistent index: {still_open} LCS slots still open after all k={k} symbols"
+            )
+    # free the round buffers before the int32 array exists
+    del labels, equal, same
+    lcs = counts.astype(np.int32)
+    del counts
+    lcs[lcs == r] = -1
+    return lcs, r
 
 
 def lcs_basic(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
     """LCS array via all k width-1 rounds over the matrix; raises
     FormatError if a slot is still open after them."""
-    lcs, _, _ = width1_rounds(index)
+    lcs, r = width1_rounds(index)
     if stats is not None:
-        stats.rounds = index.k
+        stats.rounds = r
         stats.lcs_writes = index.n
-    return lcs.astype(np.int32)
+    return lcs

@@ -1,5 +1,5 @@
 """Linear-time LCS construction via breadth-first L-interval traversal,
-and the adaptive construction that resumes it after width-1 rounds.
+handed over from width-1 rounds.
 
 Round i right-extends the right endpoint of every interval claimed in
 round i-1 by each base and stamps value i-1 into the slot just past each
@@ -14,10 +14,14 @@ guard discards them. Rounds are processed as batches: per base, one
 vectorized rank call over all round entries replaces the per-interval
 queries.
 
-The hand-over from the rounds to the BFS is exact. After r width-1
+The hand-over from the width-1 rounds to the BFS is exact. After r
 rounds every closed slot holds its final value, which is below r, and
 the slots of value r-1 are the ones BFS round r would have claimed. So
 the BFS resumes at round r+1 from those slots, with the open slots unset.
+The constructions differ only in r: lcs_basic never hands over,
+lcs_linear hands over after round 1, whose value-0 slots are the symbol
+block starts that BFS round 1 claims from the whole interval, and
+lcs_adaptive after the round its rule picks.
 """
 
 from __future__ import annotations
@@ -38,10 +42,10 @@ def _claim(lcs, slots, value):
     on each claimed slot.
 
     slots must be non-decreasing, which every BFS round guarantees: the
-    round's endpoints ascend, rank is monotone, no destination of a base
-    exceeds one of the next base, and the seeded slot 1 comes first.
-    Duplicate slots are then adjacent, so the first of each run of equal
-    unset slots wins and stamps the value.
+    round's endpoints ascend, rank is monotone, and no destination of a
+    base exceeds one of the next base. Duplicate slots are then adjacent,
+    so the first of each run of equal unset slots wins and stamps the
+    value.
     """
     first = np.ones(len(slots), dtype=bool)
     first[1:] = slots[1:] != slots[:-1]
@@ -50,25 +54,24 @@ def _claim(lcs, slots, value):
     return won
 
 
-def _bfs(index: SbwtIndex, lcs, his, start: int, stats: BuildStats | None) -> np.ndarray:
-    """BFS rounds start..k over the ascending endpoints his claimed in
-    round start-1, filling the unset (-1) slots of the int32 array lcs.
+def _bfs(index: SbwtIndex, lcs, r: int, stats: BuildStats | None) -> np.ndarray:
+    """BFS rounds r+1..k over the int32 array lcs that r width-1 rounds
+    left, filling its unset (-1) slots. Round r+1 starts from the slots of
+    value r-1, the endpoints that BFS round r would have claimed.
 
     Raises FormatError if the index is not a consistent subset matrix and
-    the traversal leaves a slot unfilled. stats.rounds counts the start-1
-    rounds before this one as well.
+    the traversal leaves a slot unfilled. stats.rounds counts the r
+    width-1 rounds as well.
     """
     n, k = index.n, index.k
+    his = np.flatnonzero(lcs[1:] == r - 1) + 1
     rounds = rank_queries = pushed = 0
-    for i in range(start, k + 1):
+    for i in range(r + 1, k + 1):
         if len(his) == 0:
             break
         rounds += 1
         rank_queries += 4 * len(his)
         cand = []
-        if i == 1 and n > 1:
-            # seeded interval of "$": claims slot 2 definitionally
-            cand.append(np.array([1], dtype=np.int64))
         for c in range(4):
             new_hi = index.counts[c] + index.matrix.rows[c].rank_many(his)
             cand.append(new_hi[new_hi < n])  # the slot past rank n does not exist
@@ -80,7 +83,7 @@ def _bfs(index: SbwtIndex, lcs, his, start: int, stats: BuildStats | None) -> np
     if unfilled:
         raise FormatError(f"inconsistent index: the BFS left {unfilled} LCS slots unfilled")
     if stats is not None:
-        stats.rounds = start - 1 + rounds
+        stats.rounds = r + rounds
         stats.rank_queries = rank_queries
         stats.intervals_pushed = pushed
         stats.lcs_writes = n
@@ -88,24 +91,20 @@ def _bfs(index: SbwtIndex, lcs, his, start: int, stats: BuildStats | None) -> np
 
 
 def lcs_linear(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
-    """LCS array by the BFS over interval right endpoints, from the whole
-    interval [1, n].
+    """LCS array by the BFS over interval right endpoints, handed over
+    after width-1 round 1, which reads no predecessor.
 
     Raises FormatError if the index is not a consistent subset matrix and
     the traversal leaves a slot unfilled.
     """
-    lcs = np.full(index.n, -1, dtype=np.int32)
-    lcs[0] = 0
-    return _bfs(index, lcs, np.array([index.n], dtype=np.int64), 1, stats)
+    return _bfs(index, *width1_rounds(index, lambda r, same: True), stats)
 
 
 # the endpoint BFS is the only linear construction; the name stays importable
 lcs_linear_endpoints = lcs_linear
 
 
-def lcs_adaptive(
-    index: SbwtIndex, stats: BuildStats | None = None, *, _handover: int | None = None
-) -> np.ndarray:
+def lcs_adaptive(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
     """LCS array by width-1 rounds while they pay, then the BFS from the
     slots still open.
 
@@ -115,35 +114,26 @@ def lcs_adaptive(
     would close few (CLAIM_COST closed <= n), and the BFS, which claims
     the open slots from the closed ones, costs less than the k-r rounds
     left, less about two for the hand-over's own passes. stats.handover
-    is that r, or None if the rounds finished by themselves. _handover
-    forces the hand-over at round _handover, for tests.
+    is that r, or None if the rounds finished by themselves.
 
     Raises FormatError, as lcs_basic and lcs_linear do, if the index is
     not a consistent subset matrix.
     """
     n, k = index.n, index.k
     was_open = n - 1
-    handover = None
 
     def stop(r, same):
-        nonlocal was_open, handover
+        nonlocal was_open
         still_open = int(np.count_nonzero(same))
         closed, was_open = was_open - still_open, still_open
-        if _handover is not None:
-            switch = r == _handover
-        else:
-            switch = (
-                2 * still_open <= n
-                and CLAIM_COST * closed <= n
-                and CLAIM_COST * (closed + still_open) <= n * (k - r - 2)
-            )
-        if switch and still_open:
-            handover = r
-        return switch or not still_open
+        return not still_open or (
+            2 * still_open <= n
+            and CLAIM_COST * closed <= n
+            and CLAIM_COST * (closed + still_open) <= n * (k - r - 2)
+        )
 
-    counts, same, r = width1_rounds(index, stop)
-    lcs = counts.astype(np.int32)
-    del counts
+    lcs, r = width1_rounds(index, stop)
+    handover = r if was_open else None
     if stats is not None:
         stats.handover = handover
     if handover is None:
@@ -151,6 +141,4 @@ def lcs_adaptive(
             stats.rounds = r
             stats.lcs_writes = n
         return lcs
-    lcs[1:][same] = -1
-    del same
-    return _bfs(index, lcs, np.flatnonzero(lcs[1:] == r - 1) + 1, r + 1, stats)
+    return _bfs(index, lcs, r, stats)

@@ -1,10 +1,11 @@
 """Super-alphabet LCS construction: read c symbols per round.
 
-A reference construction beside the production lcs_basic and lcs_linear:
-each k-mer's next c symbols form one super-character of 3-bit fields,
-advanced by one gather through the c-step map pred^c, so about k/c rounds
-replace k. The first differing field of two neighbours is read from the
-bit length of their XOR.
+A reference construction for `verify` and the tests, which `sbwt-lcs
+lcs` (it runs lcs_adaptive) never loads: each k-mer's next c symbols
+form one super-character of 3-bit fields, advanced by one gather through
+the c-step map pred^c, so about k/c rounds replace k. The first
+differing field of two neighbours is read from the bit length of their
+XOR.
 """
 
 from __future__ import annotations

@@ -11,10 +11,11 @@ class BuildStats:
 
     rounds is the algorithm's primary round counter: matrix scans for the
     basic algorithm, gathers through the c-step map for the super-alphabet
-    one, executed BFS rounds for the linear one, and both for the adaptive
-    one, whose handover is the width-1 round after which its BFS took over
-    (None if it did not). Counters are deterministic for a given index;
-    wall time is not tracked here.
+    one, and for the linear and adaptive ones the width-1 rounds before the
+    hand-over plus the executed BFS rounds: one width-1 round for linear,
+    and handover rounds for adaptive, whose handover is None if its rounds
+    closed every slot by themselves. Counters are deterministic for a given
+    index; wall time is not tracked here.
     """
 
     rounds: int = 0

@@ -14,6 +14,7 @@ from sbwt_lcs import (
     SortedSpectrum,
     build_index,
     extended_spectrum,
+    lcs_linear,
     load_index,
     save_index,
 )
@@ -149,6 +150,9 @@ class TestConstructor:
         save_index(worked_index, buf)
         buf.seek(0)
         index = load_index(buf)
+        assert "pred" not in vars(index)
+        # linear's one width-1 round reads only the last symbols
+        lcs_linear(index)
         assert "pred" not in vars(index)
         lcs_basic(index)
         assert "pred" in vars(index)

@@ -21,7 +21,8 @@ from sbwt_lcs import (
     naive_lcs,
 )
 from sbwt_lcs.cli import clean_pieces
-from sbwt_lcs.lcs_linear import _claim
+from sbwt_lcs.lcs_basic import width1_rounds
+from sbwt_lcs.lcs_linear import CLAIM_COST, _bfs, _claim
 from sbwt_lcs.lcs_superalphabet import MAX_WIDTH
 from sbwt_lcs.stats import BuildStats
 
@@ -169,15 +170,59 @@ class TestLemmas:
             assert best[phi] == (plo, parent)
 
 
+def handed_over(index, h, stats=None):
+    """The width-1 rounds handing over to the BFS after round h."""
+    return _bfs(index, *width1_rounds(index, lambda r, same: r == h), stats)
+
+
 def every_handover(index, reference):
-    """The hand-overs forced at each round 1..k-1, and the unforced run,
-    that do not give the reference array."""
-    runs = [None, *range(1, index.k)]
-    return [r for r in runs if lcs_adaptive(index, _handover=r).tobytes() != reference.tobytes()]
+    """The hand-overs after each round 1..k-1, and lcs_adaptive's own run
+    (None), that do not give the reference array."""
+    runs = {None: lcs_adaptive(index)} | {h: handed_over(index, h) for h in range(1, index.k)}
+    return [h for h, lcs in runs.items() if lcs.tobytes() != reference.tobytes()]
+
+
+def rule_handover(values, k):
+    """The round after which lcs_adaptive's rule hands over, read from the
+    final values: after round r the slots of value >= r are open and those
+    of value r-1 closed in round r. None if no slot is open first."""
+    n = len(values)
+    for r in range(1, k + 1):
+        still_open = np.count_nonzero(values[1:] >= r)
+        closed = np.count_nonzero(values[1:] == r - 1)
+        if not still_open:
+            return None
+        if (
+            2 * still_open <= n
+            and CLAIM_COST * closed <= n
+            and CLAIM_COST * (closed + still_open) <= n * (k - r - 2)
+        ):
+            return r
 
 
 class TestAdaptive:
     """The width-1 rounds handing over to the BFS at every round."""
+
+    def test_handover_is_the_rules(self):
+        # random texts of a few thousand bases hand over; sets of
+        # overlapping reads with their reverse complements sometimes do not
+        rng = Random(1)
+        cases = []
+        for _ in range(6):
+            genome = "".join(rng.choice("ACGT") for _ in range(600))
+            reads = [genome[i : i + 150] for i in range(0, 450, rng.randint(5, 40))]
+            cases.append((clean_pieces(reads, True), rng.randint(15, 31)))
+        for _ in range(4):
+            text = "".join(rng.choice("ACGT") for _ in range(rng.randint(2000, 4000)))
+            cases.append(([text], rng.randint(31, 63)))
+        seen = set()
+        for strings, k in cases:
+            spectrum = extended_spectrum(strings, k)
+            stats = BuildStats()
+            lcs_adaptive(build_index(spectrum), stats)
+            assert stats.handover == rule_handover(naive_lcs(spectrum), k)
+            seen.add(stats.handover is None)
+        assert seen == {False, True}
 
     def test_worked(self, worked_index):
         assert every_handover(worked_index, np.array(WORKED_LCS, dtype=np.int32)) == []
@@ -214,7 +259,7 @@ class TestAdaptive:
         with pytest.raises(FormatError, match="1 LCS slots still open after all k=2"):
             lcs_adaptive(index)
         with pytest.raises(FormatError, match="the BFS left 1 LCS slots unfilled"):
-            lcs_adaptive(index, _handover=1)
+            handed_over(index, 1)
 
     @pytest.mark.parametrize("seed", [121, 122, 123, 124])
     def test_counters(self, seed):
@@ -229,23 +274,23 @@ class TestAdaptive:
         values = lcs_linear(index, linear)
         for r in range(1, values.max() + 1):
             stats = BuildStats()
-            lcs_adaptive(index, stats, _handover=r)
-            assert stats.handover == r
+            handed_over(index, r, stats)
             assert stats.rounds == linear.rounds
             assert stats.intervals_pushed == np.count_nonzero(values >= r)
-            his_before = 1 + np.count_nonzero(values[1:] <= r - 2)
+            his_before = np.count_nonzero(values[1:] <= r - 2)
             assert stats.rank_queries == linear.rank_queries - 4 * his_before
             assert stats.lcs_writes == index.n
 
     @pytest.mark.parametrize("seed", [131, 132])
-    def test_counters_without_handover(self, seed):
+    def test_counters_without_handover(self, seed, monkeypatch):
         # the rounds stop once no slot is open, after the largest value's;
-        # a hand-over at round k never fires
+        # at this claim cost the rule never hands over
+        monkeypatch.setattr(importlib.import_module("sbwt_lcs.lcs_linear"), "CLAIM_COST", 10**9)
         rng = Random(seed)
         strings, k = random_instance(rng, k=rng.randint(8, 40))
         index = build_index(extended_spectrum(strings, k))
         stats = BuildStats()
-        values = lcs_adaptive(index, stats, _handover=k)
+        values = lcs_adaptive(index, stats)
         assert stats.handover is None
         assert stats.rounds == values.max() + 1
         assert (stats.rank_queries, stats.intervals_pushed) == (0, 0)
