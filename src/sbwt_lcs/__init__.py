@@ -6,7 +6,6 @@ from .index import (
     ColexInterval,
     FormatError,
     SbwtIndex,
-    build_index,
     load_index,
     save_index,
 )
@@ -21,10 +20,9 @@ __version__ = "0.1.0"
 # package, or running build, lcs or query, never loads it. lcs_basic and
 # lcs_linear stay eager: each is also a submodule name, which importing
 # the submodule would bind here in place of the function.
-_LAZY = {
-    "SortedSpectrum": ".oracle", "decode_spectrum": ".oracle", "extended_spectrum": ".oracle",
-    "naive_lcs": ".oracle", "naive_subset_sequence": ".oracle", "lcs_super": ".lcs_superalphabet",
-}
+_LAZY = dict.fromkeys(["SortedSpectrum", "build_index", "decode_spectrum", "extended_spectrum",
+                       "naive_lcs", "naive_subset_sequence"], ".oracle")
+_LAZY["lcs_super"] = ".lcs_superalphabet"
 
 
 def __getattr__(name: str):

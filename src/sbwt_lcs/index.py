@@ -7,6 +7,7 @@ with the cumulative last-symbol counts C this supports LF-style right
 extension of colex intervals in constant time per rank query.
 
 All ranks in the public API are 1-based; internal arrays are 0-based.
+build_index and extend_right live in oracle; __getattr__ keeps their path.
 """
 
 from __future__ import annotations
@@ -14,14 +15,12 @@ from __future__ import annotations
 import struct
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING, BinaryIO, NamedTuple
+from importlib import import_module
+from typing import BinaryIO, NamedTuple
 
 import numpy as np
 
-from .alphabet import BASES, BASE_CODES
-
-if TYPE_CHECKING:
-    from .oracle import SortedSpectrum
+from .alphabet import BASE_CODES
 
 MAGIC = b"SBWTLCS1"
 _HEADER = struct.Struct("<8sQQ")
@@ -39,18 +38,15 @@ class ColexInterval(NamedTuple):
     lo: int
     hi: int
 
-    def __len__(self) -> int:
-        return self.hi - self.lo + 1
-
 
 class Bitvector:
     """Immutable bitvector with O(1) rank via one table of word counts.
 
     _cum[q] is the number of set bits in words 0..q-1, for q = 0..nwords,
-    so rank(i) is _cum[i >> 6] plus the popcount of word i >> 6 below bit
-    i & 63. At i = n with n a multiple of 64 that word is the zero pad word.
-    The scalar reads of rank and test go through zero-copy memoryviews,
-    which yield Python ints; rank_many reads the arrays.
+    so the rank of i is _cum[i >> 6] plus the popcount of word i >> 6 below
+    bit i & 63. At i = n with n a multiple of 64 that word is the zero pad
+    word. rank_many reads the arrays. The one scalar rank is lookup's inline
+    step, which reads the zero-copy memoryviews, as test does.
     """
 
     __slots__ = ("n", "popcount", "_words", "_cum", "_wordv", "_cumv")
@@ -73,17 +69,6 @@ class Bitvector:
         if not 0 <= i < self.n:
             raise IndexError(f"bit index {i} out of range for length {self.n}")
         return bool((self._wordv[i >> 6] >> (i & 63)) & 1)
-
-    def rank(self, i: int) -> int:
-        """Number of set bits among bits 0..i-1; 0 <= i <= n."""
-        if not 0 <= i <= self.n:
-            raise IndexError(f"rank position {i} out of range for length {self.n}")
-        q = i >> 6
-        r = self._cumv[q]
-        rem = i & 63
-        if rem:
-            r += (self._wordv[q] & ((1 << rem) - 1)).bit_count()
-        return r
 
     def rank_many(self, i: np.ndarray) -> np.ndarray:
         """Vectorized rank over an array of positions in [0, n]."""
@@ -169,44 +154,6 @@ class SbwtIndex:
         )
 
 
-def build_index(s: SortedSpectrum) -> SbwtIndex:
-    """Reference build: the subset matrix as oracle.naive_subset_sequence
-    defines it, one bit per (base, rank).
-
-    Raises ValueError if the spectrum fails SortedSpectrum.validate, or is
-    not prefix-closed (some k-mer would have no predecessor, so fewer than
-    n-1 bits are set), since the LF mapping is then not a bijection.
-    """
-    from .oracle import naive_subset_sequence
-
-    s.validate()
-    subsets = naive_subset_sequence(s)
-    bits = np.array([[base in x for x in subsets] for base in BASES], dtype=bool)
-    if np.count_nonzero(bits) != len(s) - 1:
-        raise ValueError("spectrum is not prefix-closed")
-    return SbwtIndex(s.k, len(s), np.packbits(bits, axis=1, bitorder="little"))
-
-
-def extend_right(
-    index: SbwtIndex, lo: int, hi: int, base: str
-) -> ColexInterval | None:
-    """Interval of suffix (alpha + base) given the interval of alpha.
-
-    Returns None when no k-mer has the extended suffix.
-    """
-    if not 1 <= lo <= hi <= index.n:
-        raise ValueError(f"invalid interval [{lo}, {hi}] for n={index.n}")
-    if base not in BASE_CODES:
-        raise ValueError(f"invalid base {base!r}")
-    row = index.matrix.row(base)
-    c = index.counts[BASE_CODES[base] - 1]
-    low_rank = row.rank(lo - 1)
-    high_rank = row.rank(hi)
-    if low_rank == high_rank:
-        return None
-    return ColexInterval(c + low_rank + 1, c + high_rank)
-
-
 def save_index(index: SbwtIndex, sink) -> None:
     """Write the binary index format: magic, k, n, then the four rows."""
     own = not hasattr(sink, "write")
@@ -246,3 +193,10 @@ def load_index(source) -> SbwtIndex:
         raise FormatError("trailing data after index payload")
     rows = np.frombuffer(data, dtype=np.uint8, count=4 * row_bytes, offset=_HEADER.size)
     return SbwtIndex(int(k), int(n), rows.reshape(4, row_bytes))
+
+
+def __getattr__(name: str):
+    """build_index and extend_right, from oracle on first use (PEP 562)."""
+    if name not in ("build_index", "extend_right"):
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(import_module(".oracle", __package__), name)

@@ -41,9 +41,8 @@ def width1_rounds(index: SbwtIndex, stop=None) -> tuple[np.ndarray, int]:
     for r in range(1, k + 1):
         if r > 1:
             labels = labels[index.pred]
-        equal = labels[1:] == labels[:-1]
-        counts[1:] += same & equal
-        same &= equal
+        same &= labels[1:] == labels[:-1]
+        counts[1:] += same
         if stop is not None and stop(r, same):
             break
     else:
@@ -53,7 +52,7 @@ def width1_rounds(index: SbwtIndex, stop=None) -> tuple[np.ndarray, int]:
                 f"inconsistent index: {still_open} LCS slots still open after all k={k} symbols"
             )
     # free the round buffers before the int32 array exists
-    del labels, equal, same
+    del labels, same
     lcs = counts.astype(np.int32)
     del counts
     lcs[lcs == r] = -1

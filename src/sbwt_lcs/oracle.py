@@ -4,7 +4,10 @@ Everything here is written for clarity, not speed: plain sets, string
 slicing and comparison sorts. These functions define the ground truth that
 the succinct index and all LCS construction algorithms are tested against.
 Intended scale is up to a few hundred thousand k-mers. This is the
-reference side: build, lcs and query never load it; dump loads it to decode.
+reference side, with the reference build of the subset matrix
+(build_index) and its right extension (extend_right): build, lcs and
+query never load it; dump loads it to decode, and index resolves those
+two names here on first use.
 """
 
 from __future__ import annotations
@@ -14,9 +17,21 @@ from typing import Iterable
 
 import numpy as np
 
-from .alphabet import BASES, DOLLAR, check_bases, colex_key, decode
-from .index import FormatError, SbwtIndex
+from .alphabet import BASE_CODES, BASES, DOLLAR, SYMBOLS, check_bases
+from .index import ColexInterval, FormatError, SbwtIndex
 from .lcs_basic import initial_labels
+
+_CODE_TO_ASCII = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8).copy()
+
+
+def decode(codes: np.ndarray) -> str:
+    """uint8 code array -> symbol string."""
+    return _CODE_TO_ASCII[codes].tobytes().decode("ascii")
+
+
+def colex_key(kmer: str) -> str:
+    """Sort key realizing colexicographic order over $ACGT strings."""
+    return kmer[::-1]
 
 
 def colex_less(x: str, y: str) -> bool:
@@ -148,6 +163,41 @@ def naive_subset_sequence(s: SortedSpectrum) -> list[str]:
             out.append("".join(c for c in BASES if suffix + c in members))
         prev_suffix = suffix
     return out
+
+
+def build_index(s: SortedSpectrum) -> SbwtIndex:
+    """Reference build: the subset matrix as naive_subset_sequence defines
+    it, one bit per (base, rank).
+
+    Raises ValueError if the spectrum fails SortedSpectrum.validate, or is
+    not prefix-closed (some k-mer would have no predecessor, so fewer than
+    n-1 bits are set), since the LF mapping is then not a bijection.
+    """
+    s.validate()
+    subsets = naive_subset_sequence(s)
+    bits = np.array([[base in x for x in subsets] for base in BASES], dtype=bool)
+    if np.count_nonzero(bits) != len(s) - 1:
+        raise ValueError("spectrum is not prefix-closed")
+    return SbwtIndex(s.k, len(s), np.packbits(bits, axis=1, bitorder="little"))
+
+
+def extend_right(
+    index: SbwtIndex, lo: int, hi: int, base: str
+) -> ColexInterval | None:
+    """Interval of suffix (alpha + base) given the interval of alpha.
+
+    Returns None when no k-mer has the extended suffix. Both ends are
+    ranked with rank_many, which shares no code with lookup's inline step.
+    """
+    if not 1 <= lo <= hi <= index.n:
+        raise ValueError(f"invalid interval [{lo}, {hi}] for n={index.n}")
+    if base not in BASE_CODES:
+        raise ValueError(f"invalid base {base!r}")
+    c = index.counts[BASE_CODES[base] - 1]
+    low_rank, high_rank = index.matrix.row(base).rank_many([lo - 1, hi]).tolist()
+    if low_rank == high_rank:
+        return None
+    return ColexInterval(c + low_rank + 1, c + high_rank)
 
 
 def suffix_match_len(x: str, y: str) -> int:

@@ -28,7 +28,7 @@ sorts below. Past k = 32 the column _distinct gives each text k-mer also
 names a predecessor column for every k-mer that follows another in a
 piece, as in Kasai et al.'s LCP construction, and subset_rows takes those
 as given. Together they are the only production build (`sbwt-lcs
-build`); index.build_index is the string reference they are tested
+build`); oracle.build_index is the string reference they are tested
 against.
 """
 

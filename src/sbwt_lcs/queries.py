@@ -30,9 +30,9 @@ class SuffixInterval:
 def lookup(index: SbwtIndex, kmer: str) -> int | None:
     """Colex rank of the k-mer in the spectrum, or None if absent.
 
-    Each step is extend_right with its rank queries inlined and without
-    its argument checks: the interval of the suffix read so far is ranks
-    lo+1..hi, and it stays inside 1..n. Once it is the single column lo,
+    Each step is oracle.extend_right with its rank queries inlined and
+    without its argument checks: the interval of the suffix read so far is
+    ranks lo+1..hi, and it stays inside 1..n. Once it is the single column lo,
     base c extends it iff bit lo of row c is set, and the one rank below
     that bit gives the next column: rank(lo + 1) - rank(lo) is that bit,
     so this is the two-rank step on any index. Raises FormatError if the

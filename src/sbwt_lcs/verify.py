@@ -17,11 +17,11 @@ import numpy as np
 
 from .alphabet import BASES
 from .cli import EXIT_OK, EXIT_VERIFY, packed_index, read_pieces
-from .index import FormatError, SbwtIndex, build_index
+from .index import FormatError, SbwtIndex
 from .lcs_basic import lcs_basic
 from .lcs_linear import lcs_adaptive, lcs_linear
 from .lcs_superalphabet import lcs_super
-from .oracle import extended_spectrum, naive_lcs
+from .oracle import build_index, extended_spectrum, naive_lcs
 from .queries import lookup
 
 # `verify` looks up at most this many k-mers of the spectrum, and as many

@@ -19,8 +19,9 @@ from sbwt_lcs import (
     save_index,
 )
 from sbwt_lcs.alphabet import BASES
-from sbwt_lcs.index import MAGIC, MAX_K, Bitvector, ColexInterval, SbwtIndex, extend_right
+from sbwt_lcs.index import MAGIC, MAX_K, Bitvector, ColexInterval, SbwtIndex
 from sbwt_lcs.lcs_basic import lcs_basic
+from sbwt_lcs.oracle import extend_right
 
 from conftest import WORKED_MATRIX_ROWS, random_instance, suffix_intervals
 
@@ -53,6 +54,17 @@ def test_package_surface():
         assert callable(getattr(sbwt_lcs, name)), name
 
 
+def test_reference_names_keep_their_index_path():
+    # the reference build and extension live in oracle; index resolves them
+    import sbwt_lcs.index
+    import sbwt_lcs.oracle
+
+    assert sbwt_lcs.index.build_index is sbwt_lcs.oracle.build_index
+    assert sbwt_lcs.index.extend_right is sbwt_lcs.oracle.extend_right
+    with pytest.raises(AttributeError):
+        getattr(sbwt_lcs.index, "no_such_name")
+
+
 def bitvector(bits):
     bits = np.asarray(bits, dtype=bool)
     return Bitvector(np.packbits(bits, bitorder="little"), len(bits))
@@ -69,17 +81,8 @@ class TestBitvector:
     def test_rank_matches_prefix_sums(self, bits):
         bv = bitvector(bits)
         prefix = np.concatenate(([0], np.cumsum(bits)))
-        for i in range(0, len(bits) + 1):
-            assert bv.rank(i) == prefix[i]
         got = bv.rank_many(np.arange(len(bits) + 1))
         assert got.dtype == np.int64 and (got == prefix).all()
-
-    def test_rank_out_of_range(self):
-        bv = bitvector(np.ones(10, dtype=bool))
-        with pytest.raises(IndexError):
-            bv.rank(11)
-        with pytest.raises(IndexError):
-            bv.rank(-1)
 
     def test_long_vector_block_boundaries(self):
         rng = Random(5)
@@ -87,27 +90,23 @@ class TestBitvector:
         bv = bitvector(bits)
         prefix = np.concatenate(([0], np.cumsum(bits)))
         probes = [0, 1, 63, 64, 65, 511, 512, 513, 1024, 4999, 5000]
-        for i in probes:
-            assert bv.rank(i) == prefix[i]
         assert (bv.rank_many(np.array(probes)) == prefix[probes]).all()
         assert bv.to_bool().tolist() == bits.tolist()
 
     @pytest.mark.parametrize("words", [1, 2, 9])
     def test_whole_words_read_the_pad_entry(self, words):
-        # at n = 64m, rank(n) reads the table entry of the zero pad word
+        # at n = 64m, the rank of n reads the table entry of the zero pad word
         rng = Random(words)
         bits = np.array([rng.random() < 0.5 for _ in range(64 * words)])
         bv = bitvector(bits)
         prefix = np.concatenate(([0], np.cumsum(bits)))
-        assert [bv.rank(i) for i in range(len(bits) + 1)] == prefix.tolist()
         assert (bv.rank_many(np.arange(len(bits) + 1)) == prefix).all()
-        assert bv.rank(len(bits)) == bv.popcount == int(bits.sum())
+        assert bv.rank_many([len(bits)])[0] == bv.popcount == int(bits.sum())
 
     def test_all_ones_counts_past_16_bits(self):
         n = 70_000
         bv = bitvector(np.ones(n, dtype=bool))
         probes = np.array([0, 1, 65_535, 65_536, 65_537, 69_999, n])
-        assert [bv.rank(int(i)) for i in probes] == probes.tolist()
         assert bv.rank_many(probes).tolist() == probes.tolist()
         assert bv.popcount == n
 
@@ -195,19 +194,15 @@ class TestCharRank:
     """Rank over one base's row: set bits among columns 1..i."""
 
     def test_examples(self, worked_index):
-        assert worked_index.matrix.row("G").rank(9) == 3
-        assert worked_index.matrix.row("A").rank(18) == 8
+        assert worked_index.matrix.row("G").rank_many([9]).tolist() == [3]
+        assert worked_index.matrix.row("A").rank_many([18]).tolist() == [8]
         for base in BASES:
-            assert worked_index.matrix.row(base).rank(0) == 0
+            assert worked_index.matrix.row(base).rank_many([0]).tolist() == [0]
 
     def test_full_rank_is_popcount(self, worked_index):
         for base in BASES:
             row = worked_index.matrix.row(base)
-            assert row.rank(18) == row.popcount
-
-    def test_errors(self, worked_index):
-        with pytest.raises(IndexError):
-            worked_index.matrix.row("A").rank(19)
+            assert row.rank_many([18]).tolist() == [row.popcount]
 
 
 class TestExtendRight:

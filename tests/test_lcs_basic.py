@@ -15,8 +15,8 @@ from sbwt_lcs import (
     lcs_super,
     naive_lcs,
 )
-from sbwt_lcs.alphabet import decode
 from sbwt_lcs.lcs_basic import initial_labels
+from sbwt_lcs.oracle import decode
 from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, random_instance

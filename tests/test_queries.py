@@ -20,7 +20,7 @@ from sbwt_lcs import (
     lookup,
     naive_lcs,
 )
-from sbwt_lcs.index import extend_right
+from sbwt_lcs.oracle import extend_right
 
 from conftest import moved_bit_index, random_instance, suffix_intervals
 
