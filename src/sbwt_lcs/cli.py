@@ -25,6 +25,7 @@ from .index import (
     load_index,
     save_index,
 )
+from .lcs_basic import lcs_dtype
 from .lcs_linear import lcs_adaptive
 from .packed import pack_pieces, subset_rows
 from .queries import SuffixInterval, left_contract, lookup
@@ -94,21 +95,20 @@ def read_pieces(path: str, k: int, add_rc: bool) -> list[str]:
     return pieces
 
 
-def lcs_value_width(k: int) -> int:
-    """Bytes of the narrowest unsigned type that holds k-1."""
-    return np.min_scalar_type(k - 1).itemsize
-
-
 def save_lcs(values: np.ndarray, k: int, path: str) -> None:
-    width = lcs_value_width(k)
+    width = lcs_dtype(k).itemsize
     with open(path, "wb") as fh:
         fh.write(_LCS_HEADER.pack(LCS_MAGIC, len(values), width))
         fh.write(values.astype(f"<u{width}").tobytes())
 
 
 def load_lcs(path: str) -> np.ndarray:
+    """The values of an LCS file, writable and at the file's width; raises
+    FormatError if the file is malformed."""
     with open(path, "rb") as fh:
-        data = fh.read()
+        # one copy into a buffer of the file's size; a short read or a pipe gets the rest
+        data = bytearray(os.fstat(fh.fileno()).st_size)
+        data[fh.readinto(data) :] = fh.read()
     if len(data) < _LCS_HEADER.size:
         raise FormatError(f"{path}: truncated LCS file")
     magic, n, width = _LCS_HEADER.unpack_from(data)
@@ -121,10 +121,10 @@ def load_lcs(path: str) -> np.ndarray:
         raise FormatError(f"{path}: truncated LCS file")
     if len(data) > expected:
         raise FormatError(f"{path}: trailing data after LCS payload")
-    raw = np.frombuffer(data, dtype=f"<u{width}", count=n, offset=_LCS_HEADER.size)
-    if width == 4 and raw.max(initial=0) > np.iinfo(np.int32).max:
-        raise FormatError(f"{path}: LCS value {int(raw.max())} does not fit in int32")
-    return raw.astype(np.int32)
+    values = np.frombuffer(data, dtype=f"<u{width}", count=n, offset=_LCS_HEADER.size)
+    if width == 4 and values.max(initial=0) > np.iinfo(np.int32).max:
+        raise FormatError(f"{path}: LCS value {int(values.max())} does not fit in int32")
+    return values
 
 
 # ---------------------------------------------------------------------------

@@ -20,29 +20,34 @@ def initial_labels(index: SbwtIndex) -> np.ndarray:
     return np.repeat(np.arange(5, dtype=np.uint8), sizes)
 
 
-def width1_rounds(index: SbwtIndex, stop=None) -> tuple[np.ndarray, int]:
-    """The width-1 rounds: round r compares the characters at offset r-1
-    from the end. Returns (lcs, r) after round r, where lcs is the int32
-    array with every still-open slot unset (-1).
+def lcs_dtype(k: int) -> np.dtype:
+    """The type of an LCS array: the narrowest unsigned one that holds k-1."""
+    return np.min_scalar_type(k - 1)
 
-    Entry i-1 of lcs holds the value for rank i; rank 1 is 0 by
-    definition. The mask `same` holds the slots that have matched their
-    left neighbour in every round so far, and a counter of the narrowest
-    type that holds k counts those rounds. So after round r every closed
-    slot holds its final value, below r, and every open one holds r. The
-    rounds run to k unless stop(r, same), called after every round, is
-    true. Raises FormatError if they run out with a slot still open, as
-    only two equal k-mers can leave one.
+
+def width1_rounds(index: SbwtIndex, stop=None) -> tuple[np.ndarray, int, np.ndarray]:
+    """The width-1 rounds: round r compares the characters at offset r-1
+    from the end. Returns (lcs, r, same) after round r.
+
+    Entry i-1 of lcs, of type lcs_dtype(k), holds the value for rank i;
+    rank 1 is 0 by definition. The mask `same` holds the slots that have
+    matched their left neighbour in every round so far (never slot 0),
+    and lcs counts those rounds. So after round r every closed slot holds
+    its final value, below r, and every open one holds r. The rounds run
+    to k unless stop(r, same), called after every round, is true. Raises
+    FormatError if they run out with a slot still open, as only two equal
+    k-mers can leave one.
     """
     n, k = index.n, index.k
     labels = initial_labels(index)
-    counts = np.zeros(n, dtype=np.min_scalar_type(k))
-    same = np.ones(n - 1, dtype=bool)
+    lcs = np.zeros(n, dtype=lcs_dtype(k))
+    same = np.ones(n, dtype=bool)
+    same[0] = False
     for r in range(1, k + 1):
         if r > 1:
             labels = labels[index.pred]
-        same &= labels[1:] == labels[:-1]
-        counts[1:] += same
+        same[1:] &= labels[1:] == labels[:-1]
+        lcs += same
         if stop is not None and stop(r, same):
             break
     else:
@@ -51,18 +56,13 @@ def width1_rounds(index: SbwtIndex, stop=None) -> tuple[np.ndarray, int]:
             raise FormatError(
                 f"inconsistent index: {still_open} LCS slots still open after all k={k} symbols"
             )
-    # free the round buffers before the int32 array exists
-    del labels, same
-    lcs = counts.astype(np.int32)
-    del counts
-    lcs[lcs == r] = -1
-    return lcs, r
+    return lcs, r, same
 
 
 def lcs_basic(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarray:
     """LCS array via all k width-1 rounds over the matrix; raises
     FormatError if a slot is still open after them."""
-    lcs, r = width1_rounds(index)
+    lcs, r, _ = width1_rounds(index)
     if stats is not None:
         stats.rounds = r
         stats.lcs_writes = index.n

@@ -9,15 +9,15 @@ four-letter alphabet.
 
 Only right endpoints are tracked, one rank query per base. Empty
 extensions are not detected; their would-be slots either carry the same
-value this round or were claimed in an earlier round, so the unset-slot
-guard discards them. Rounds are processed as batches: per base, one
+value this round or were claimed in an earlier round, so the open-slot
+mask discards them. Rounds are processed as batches: per base, one
 vectorized rank call over all round entries replaces the per-interval
 queries.
 
 The hand-over from the width-1 rounds to the BFS is exact. After r
 rounds every closed slot holds its final value, which is below r, and
 the slots of value r-1 are the ones BFS round r would have claimed. So
-the BFS resumes at round r+1 from those slots, with the open slots unset.
+the BFS resumes at round r+1 from those slots, with the rounds' open mask.
 The constructions differ only in r: lcs_basic never hands over,
 lcs_linear hands over after round 1, whose value-0 slots are the symbol
 block starts that BFS round 1 claims from the whole interval, and
@@ -37,27 +37,27 @@ from .stats import BuildStats
 CLAIM_COST = 64
 
 
-def _claim(lcs, slots, value):
-    """Claim the unset slots; returns the position of the first candidate
-    on each claimed slot.
+def _claim(lcs, still_open, slots, value):
+    """Claim the slots still open, stamping the value and closing them;
+    returns the position of the first candidate on each claimed slot.
 
     slots must be non-decreasing, which every BFS round guarantees: the
     round's endpoints ascend, rank is monotone, and no destination of a
     base exceeds one of the next base. Duplicate slots are then adjacent,
-    so the first of each run of equal unset slots wins and stamps the
-    value.
+    so the first of each run of equal open slots wins.
     """
     first = np.ones(len(slots), dtype=bool)
     first[1:] = slots[1:] != slots[:-1]
-    won = np.flatnonzero(first & (lcs[slots] < 0))
+    won = np.flatnonzero(first & still_open[slots])
     lcs[slots[won]] = value
+    still_open[slots[won]] = False
     return won
 
 
-def _bfs(index: SbwtIndex, lcs, r: int, stats: BuildStats | None) -> np.ndarray:
-    """BFS rounds r+1..k over the int32 array lcs that r width-1 rounds
-    left, filling its unset (-1) slots. Round r+1 starts from the slots of
-    value r-1, the endpoints that BFS round r would have claimed.
+def _bfs(index: SbwtIndex, lcs, r: int, still_open, stats: BuildStats | None) -> np.ndarray:
+    """BFS rounds r+1..k over the array lcs that r width-1 rounds left,
+    filling the slots of their mask still_open. Round r+1 starts from the
+    slots of value r-1, the endpoints that BFS round r would have claimed.
 
     Raises FormatError if the index is not a consistent subset matrix and
     the traversal leaves a slot unfilled. stats.rounds counts the r
@@ -76,10 +76,10 @@ def _bfs(index: SbwtIndex, lcs, r: int, stats: BuildStats | None) -> np.ndarray:
             new_hi = index.counts[c] + index.matrix.rows[c].rank_many(his)
             cand.append(new_hi[new_hi < n])  # the slot past rank n does not exist
         slots = np.concatenate(cand)  # 0-based slot index == right endpoint
-        won = _claim(lcs, slots, i - 1)
+        won = _claim(lcs, still_open, slots, i - 1)
         his = slots[won]
         pushed += len(won)
-    unfilled = int(np.count_nonzero(lcs < 0))
+    unfilled = int(np.count_nonzero(still_open))
     if unfilled:
         raise FormatError(f"inconsistent index: the BFS left {unfilled} LCS slots unfilled")
     if stats is not None:
@@ -132,7 +132,7 @@ def lcs_adaptive(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarra
             and CLAIM_COST * (closed + still_open) <= n * (k - r - 2)
         )
 
-    lcs, r = width1_rounds(index, stop)
+    lcs, r, same = width1_rounds(index, stop)
     handover = r if was_open else None
     if stats is not None:
         stats.handover = handover
@@ -141,4 +141,4 @@ def lcs_adaptive(index: SbwtIndex, stats: BuildStats | None = None) -> np.ndarra
             stats.rounds = r
             stats.lcs_writes = n
         return lcs
-    return _bfs(index, lcs, r, stats)
+    return _bfs(index, lcs, r, same, stats)

@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from .index import FormatError, SbwtIndex
-from .lcs_basic import initial_labels
+from .lcs_basic import initial_labels, lcs_dtype
 from .stats import BuildStats
 
 # the widest super-character whose 3-bit fields (48 bits) frexp reads exactly
@@ -73,4 +73,4 @@ def lcs_super(index: SbwtIndex, c: int = 2, stats: BuildStats | None = None) -> 
     if stats is not None:
         stats.rounds = len(range(c, k, c))
         stats.lcs_writes = n
-    return lcs.astype(np.int32)
+    return lcs.astype(lcs_dtype(k))

@@ -19,7 +19,7 @@ import numpy as np
 
 from .alphabet import BASE_CODES, BASES, DOLLAR, SYMBOLS, check_bases
 from .index import ColexInterval, FormatError, SbwtIndex
-from .lcs_basic import initial_labels
+from .lcs_basic import initial_labels, lcs_dtype
 
 _CODE_TO_ASCII = np.frombuffer(SYMBOLS.encode("ascii"), dtype=np.uint8).copy()
 
@@ -212,7 +212,7 @@ def suffix_match_len(x: str, y: str) -> int:
 
 def naive_lcs(s: SortedSpectrum) -> np.ndarray:
     """Longest-common-suffix lengths of colex-adjacent k-mers; entry 0 is 0."""
-    values = np.zeros(len(s.kmers), dtype=np.int32)
+    values = np.zeros(len(s.kmers), dtype=lcs_dtype(s.k))
     for i in range(1, len(s.kmers)):
         values[i] = suffix_match_len(s.kmers[i - 1], s.kmers[i])
     return values

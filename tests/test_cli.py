@@ -33,6 +33,7 @@ from sbwt_lcs import (
     verify,
 )
 from sbwt_lcs.cli import load_lcs, main
+from sbwt_lcs.lcs_basic import lcs_dtype
 from sbwt_lcs.stats import BuildStats
 
 from conftest import WORKED_LCS, moved_bit_index
@@ -240,6 +241,52 @@ class TestLcsCommand:
         assert magic == b"LCSARR01" and width == 2
 
 
+class TestValueType:
+    """One LCS value type, lcs_dtype(k), from the constructions to the query,
+    at the edges of one and two bytes."""
+
+    @pytest.mark.parametrize("k, dtype", [(255, np.uint8), (256, np.uint8), (257, np.uint16)])
+    def test_edges_of_the_type(self, tmp_path, capsys, k, dtype):
+        # the two k-mers that end in the first k-1 symbols of R share them
+        r = "".join(Random(k).choice("ACGT") for _ in range(300))
+        fasta = tmp_path / "edge.fa"
+        fasta.write_text(f">a\nA{r}\n>c\nC{r}\n")
+        spectrum = extended_spectrum(cli.clean_pieces(["A" + r, "C" + r], False), k)
+        index = build_index(spectrum)
+        expected = naive_lcs(spectrum)
+        assert lcs_dtype(k) == expected.dtype == dtype
+        assert expected.max() == k - 1
+        for construct in (lcs_basic, lcs_super, lcs_linear, lcs_adaptive):
+            values = construct(index)
+            assert values.dtype == dtype and values.tobytes() == expected.tobytes()
+
+        index_path, lcs_path = str(tmp_path / "edge.sbwt"), str(tmp_path / "edge.lcs")
+        assert main(["build", str(fasta), "-k", str(k), "-o", index_path]) == 0
+        assert main(["lcs", index_path, "-o", lcs_path]) == 0
+        width = struct.unpack_from("<8sQB", Path(lcs_path).read_bytes())[2]
+        assert width == np.dtype(dtype).itemsize
+        loaded = load_lcs(lcs_path)
+        assert loaded.dtype == dtype and loaded.flags.writeable
+        assert loaded.tobytes() == expected.tobytes()
+
+        # the rank whose slot holds k-1, contracted by one symbol (no link
+        # reaches k; at k = 256 a uint8 array meets 256) and by two, against
+        # a scan of the reference values as Python ints
+        links = expected.tolist()
+        rank = links.index(k - 1) + 1
+        for point in (1, 2):
+            m = k - point + 1
+            lo = hi = rank
+            while lo > 1 and links[lo - 1] >= m:
+                lo -= 1
+            while hi < len(links) and links[hi] >= m:
+                hi += 1
+            capsys.readouterr()
+            args = ["--interval", f"{rank},{rank}", "--suffix-len", str(k), "--point", str(point)]
+            assert main(["query", index_path, lcs_path, "contract", *args]) == 0
+            assert capsys.readouterr().out == f"{lo}\t{hi}\t{m}\n"
+
+
 class TestDump:
     def test_worked_table(self, worked_files, capsys):
         index, lcs = worked_files
@@ -355,7 +402,8 @@ class TestDump:
             assert message in capsys.readouterr().err
 
     def test_value_beyond_int32_exits_2(self, worked_files, tmp_path, capsys):
-        # a hand-made width-4 file: 0xFFFFFFFF would load as -1 after the int32 cast
+        # a hand-made width-4 file, which save_lcs never writes (MAX_K is 4096);
+        # values load uncast, and the input guard still rejects one beyond int32
         index, lcs = worked_files
         values = load_lcs(lcs).astype("<u4")
         values[5] = 0xFFFFFFFF

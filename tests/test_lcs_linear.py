@@ -21,7 +21,7 @@ from sbwt_lcs import (
     naive_lcs,
 )
 from sbwt_lcs.cli import clean_pieces
-from sbwt_lcs.lcs_basic import width1_rounds
+from sbwt_lcs.lcs_basic import lcs_dtype, width1_rounds
 from sbwt_lcs.lcs_linear import CLAIM_COST, _bfs, _claim
 from sbwt_lcs.lcs_superalphabet import MAX_WIDTH
 from sbwt_lcs.stats import BuildStats
@@ -90,11 +90,12 @@ class TestCounters:
         assert stats.rounds <= index.k
 
 
-def claim_by_sort(lcs, slots, value):
-    """The sort-based claim: the first candidate of each distinct unset slot."""
+def claim_by_sort(lcs, still_open, slots, value):
+    """The sort-based claim: the first candidate of each distinct open slot."""
     uniq, first = np.unique(slots, return_index=True)
-    fresh = lcs[uniq] < 0
+    fresh = still_open[uniq]
     lcs[uniq[fresh]] = value
+    still_open[uniq[fresh]] = False
     return first[fresh]
 
 
@@ -110,14 +111,16 @@ class TestClaim:
         st.integers(0, 100),
     )
     def test_matches_sort_reference(self, case, value):
-        # non-decreasing slots with runs of duplicates, some already set
+        # non-decreasing slots with runs of duplicates, some already closed
         already_set, slots = case
         slots = np.array(sorted(slots), dtype=np.int64)
-        lcs = np.where(already_set, 7, -1).astype(np.int32)
-        expected_lcs = lcs.copy()
-        expected = claim_by_sort(expected_lcs, slots, value)
-        won = _claim(lcs, slots, value)
+        still_open = ~np.array(already_set)
+        lcs = np.where(still_open, 0, 7).astype(lcs_dtype(101))
+        expected_lcs, expected_open = lcs.copy(), still_open.copy()
+        expected = claim_by_sort(expected_lcs, expected_open, slots, value)
+        won = _claim(lcs, still_open, slots, value)
         assert lcs.tobytes() == expected_lcs.tobytes()
+        assert still_open.tolist() == expected_open.tolist()
         assert won.tolist() == expected.tolist()
 
     def test_bfs_rounds_claim_non_decreasing_slots(self, monkeypatch):
@@ -126,9 +129,9 @@ class TestClaim:
         index = build_index(extended_spectrum(strings, k))
         rounds = []
 
-        def spy(lcs, slots, value):
+        def spy(lcs, still_open, slots, value):
             rounds.append(slots.copy())
-            return _claim(lcs, slots, value)
+            return _claim(lcs, still_open, slots, value)
 
         # the package's lcs_linear attribute is the function; fetch the module
         monkeypatch.setattr(importlib.import_module("sbwt_lcs.lcs_linear"), "_claim", spy)
@@ -225,7 +228,7 @@ class TestAdaptive:
         assert seen == {False, True}
 
     def test_worked(self, worked_index):
-        assert every_handover(worked_index, np.array(WORKED_LCS, dtype=np.int32)) == []
+        assert every_handover(worked_index, np.array(WORKED_LCS, dtype=lcs_dtype(4))) == []
 
     def test_one_column(self, one_column_index):
         assert list(lcs_adaptive(one_column_index)) == [0]
