@@ -7,9 +7,11 @@ Exit codes: 0 success, 1 usage error, 2 I/O or file-format error,
 from __future__ import annotations
 
 import argparse
+import mmap
 import os
 import re
 import resource
+import stat
 import struct
 import sys
 import time
@@ -38,6 +40,8 @@ EXIT_VERIFY = 3
 
 LCS_MAGIC = b"LCSARR01"
 _LCS_HEADER = struct.Struct("<8sQB")
+# Linux 5.14 and later; Python 3.10 and 3.11 do not name it
+_MADV_POPULATE_READ = getattr(mmap, "MADV_POPULATE_READ", 22)
 
 _RC = str.maketrans("ACGT", "TGCA")
 _SPLIT_NON_ACGT = re.compile(r"[^ACGT]+")
@@ -96,19 +100,55 @@ def read_pieces(path: str, k: int, add_rc: bool) -> list[str]:
 
 
 def save_lcs(values: np.ndarray, k: int, path: str) -> None:
+    """Write values as an LCS file at k's width. A regular file at path is
+    replaced, not rewritten in place, so an array that load_lcs mapped from
+    it keeps its values; a FIFO or a device is written in place."""
     width = lcs_dtype(k).itemsize
-    with open(path, "wb") as fh:
-        fh.write(_LCS_HEADER.pack(LCS_MAGIC, len(values), width))
-        fh.write(values.astype(f"<u{width}").tobytes())
+    # no copy when the values already have the file's type, as every construction's do
+    chunks = (
+        _LCS_HEADER.pack(LCS_MAGIC, len(values), width),
+        np.ascontiguousarray(values, dtype=f"<u{width}"),
+    )
+    try:
+        regular = stat.S_ISREG(os.stat(path).st_mode)
+    except FileNotFoundError:
+        regular = True
+    if not regular:  # a FIFO or a device holds no mapping
+        with open(path, "wb") as fh:
+            fh.writelines(chunks)
+        return
+    # through a symlink, as open() writes; the umask applies as it does for open()
+    target = os.path.realpath(path)
+    tmp = f"{target}.{os.getpid()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with open(fd, "wb") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def load_lcs(path: str) -> np.ndarray:
     """The values of an LCS file, writable and at the file's width; raises
-    FormatError if the file is malformed."""
+    FormatError if the file is malformed.
+
+    A regular file is mapped copy-on-write: a write to the array copies its
+    page and never reaches the file. save_lcs replaces the file, so the array
+    keeps its values; another program that truncates it in place can end this
+    one with SIGBUS. Any other file, a pipe say, is read."""
     with open(path, "rb") as fh:
-        # one copy into a buffer of the file's size; a short read or a pipe gets the rest
-        data = bytearray(os.fstat(fh.fileno()).st_size)
-        data[fh.readinto(data) :] = fh.read()
+        st = os.fstat(fh.fileno())
+        if stat.S_ISREG(st.st_mode) and st.st_size:
+            data = mmap.mmap(fh.fileno(), 0, access=mmap.ACCESS_COPY)
+            try:
+                # fault the pages in now, not in the first query that reads them
+                data.madvise(_MADV_POPULATE_READ)
+            except OSError:  # Linux before 5.14
+                pass
+        else:
+            data = bytearray(fh.read())
     if len(data) < _LCS_HEADER.size:
         raise FormatError(f"{path}: truncated LCS file")
     magic, n, width = _LCS_HEADER.unpack_from(data)

@@ -1,12 +1,16 @@
 """End-to-end command behaviour: exit codes, formats, cross-validation."""
 
 import json
+import mmap
 import os
 import re
+import stat
 import struct
 import subprocess
 import sys
+import threading
 import tracemalloc
+from contextlib import contextmanager
 from pathlib import Path
 from random import Random
 
@@ -285,6 +289,120 @@ class TestValueType:
             args = ["--interval", f"{rank},{rank}", "--suffix-len", str(k), "--point", str(point)]
             assert main(["query", index_path, lcs_path, "contract", *args]) == 0
             assert capsys.readouterr().out == f"{lo}\t{hi}\t{m}\n"
+
+
+class TestLcsMapping:
+    """load_lcs maps a regular file copy-on-write, and save_lcs replaces a
+    regular output, so a loaded array and its file never change each other."""
+
+    def test_write_to_array_leaves_file(self, worked_files):
+        _, lcs = worked_files
+        before = Path(lcs).read_bytes()
+        values = load_lcs(lcs)
+        values[:] = 7
+        assert Path(lcs).read_bytes() == before
+        assert load_lcs(lcs).tolist() == WORKED_LCS
+
+    def test_array_survives_rewrite_of_its_file(self, worked_fasta, tmp_path):
+        # the worked strings give n=20 at k=6 and at k=8, with other values
+        index6, index8, lcs = (str(tmp_path / name) for name in ("k6.sbwt", "k8.sbwt", "x.lcs"))
+        assert main(["build", worked_fasta, "-k", "6", "-o", index6]) == 0
+        assert main(["build", worked_fasta, "-k", "8", "-o", index8]) == 0
+        assert main(["lcs", index6, "-o", lcs]) == 0
+        values = load_lcs(lcs)
+        before = values.tolist()
+        assert main(["lcs", index8, "-o", lcs]) == 0
+        rewritten = load_lcs(lcs).tolist()
+        assert len(rewritten) == len(before) == 20 and rewritten != before
+        assert values.tolist() == before
+        # the temporary file was renamed over the output
+        assert sorted(os.listdir(tmp_path)) == ["k6.sbwt", "k8.sbwt", "worked.fa", "x.lcs"]
+
+    def test_rewrite_through_symlink_keeps_the_link(self, worked_files, tmp_path):
+        _, lcs = worked_files
+        link = tmp_path / "link.lcs"
+        link.symlink_to(lcs)
+        cli.save_lcs(np.zeros(18, dtype=np.uint8), 4, str(link))
+        assert link.is_symlink() and load_lcs(lcs).tolist() == [0] * 18
+
+    def test_refused_populate_still_loads(self, worked_files, monkeypatch):
+        _, lcs = worked_files
+        with pytest.raises(OSError):
+            mmap.mmap(-1, mmap.PAGESIZE).madvise(-1)
+        monkeypatch.setattr(cli, "_MADV_POPULATE_READ", -1)
+        values = load_lcs(lcs)
+        assert values.tolist() == WORKED_LCS and values.flags.writeable
+
+    def test_empty_file_exits_2(self, worked_files, tmp_path, capsys):
+        index, _ = worked_files
+        empty = tmp_path / "empty.lcs"
+        empty.write_bytes(b"")
+        capsys.readouterr()
+        assert main(["query", index, str(empty), "lookup", "GTAA"]) == 2
+        assert "truncated LCS file" in capsys.readouterr().err
+
+    def test_save_writes_the_array_once(self, tmp_path):
+        values = (np.arange(10**6) % 31).astype(np.uint8)
+        out = tmp_path / "big.lcs"
+        tracemalloc.start()
+        try:
+            cli.save_lcs(values, 31, str(out))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 19
+        assert out.read_bytes()[17:] == values.tobytes()
+
+
+@contextmanager
+def fifo_peer(fifo: Path, data: bytes | None = None):
+    """The other end of a FIFO, in a thread: it writes data, or with data
+    None reads to the end into the yielded list."""
+    got: list[bytes] = []
+
+    def peer():
+        if data is None:
+            got.append(fifo.read_bytes())
+        else:
+            fifo.write_bytes(data)
+
+    # a daemon: if the test never opens the FIFO, the peer stays blocked in open()
+    thread = threading.Thread(target=peer, daemon=True)
+    thread.start()
+    try:
+        yield got
+    finally:
+        thread.join(timeout=30)
+    assert not thread.is_alive(), "the FIFO's other end was never opened"
+
+
+class TestLcsThroughFifo:
+    """A FIFO cannot be mapped or replaced: load_lcs reads it, and save_lcs
+    writes into it."""
+
+    def test_load_and_contract(self, worked_files, tmp_path, capsys):
+        index, lcs = worked_files
+        fifo = tmp_path / "lcs.fifo"
+        os.mkfifo(fifo)
+        with fifo_peer(fifo, Path(lcs).read_bytes()):
+            values = load_lcs(str(fifo))
+        assert values.tolist() == WORKED_LCS and values.flags.writeable
+        contract = ["contract", "--interval", "13,13", "--suffix-len", "3", "--point", "3"]
+        capsys.readouterr()
+        assert main(["query", index, lcs, *contract]) == 0
+        expected = capsys.readouterr().out
+        with fifo_peer(fifo, Path(lcs).read_bytes()):
+            assert main(["query", index, str(fifo), *contract]) == 0
+        assert capsys.readouterr().out == expected == "11\t16\t1\n"
+
+    def test_lcs_output(self, worked_files, tmp_path):
+        index, lcs = worked_files
+        fifo = tmp_path / "out.fifo"
+        os.mkfifo(fifo)
+        with fifo_peer(fifo) as got:
+            assert main(["lcs", index, "-o", str(fifo)]) == 0
+        assert got == [Path(lcs).read_bytes()]
+        assert stat.S_ISFIFO(os.stat(fifo).st_mode)
 
 
 class TestDump:
